@@ -28,10 +28,11 @@ race-net:
 # (TestControlPlaneUnderChaos / TestNodeUnderChaos: full sessions
 # through 20% loss + reorder + dup, bit-identical results required),
 # the scripted load-resumption and dedup regressions, and the client
-# retry/backoff tests.
+# retry/backoff tests, plus the two wire dialects (the current client
+# against a shipped node, and the paper's raw v1 datagrams).
 chaos:
 	$(GO) test -race ./internal/chaos/...
-	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed' \
+	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed|Compat|PaperDialect' \
 		./internal/server/... ./internal/client/... ./internal/fpx/...
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the
@@ -114,7 +115,7 @@ trace-smoke:
 
 # sim-smoke is the deterministic-simulation gate: the model-based
 # cluster runner must match the sequential reference model over 100
-# pinned seeds (randomized op mixes, wire revs v1..v6, lossy links),
+# pinned seeds (randomized op mixes, two boards, lossy links),
 # and the planted dedup bug must be caught with a replayable seed.
 # LIQUID_SIM_SEEDS raises the sweep; the nightly workflow runs 400.
 SIM_SEEDS ?= 100

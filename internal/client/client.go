@@ -100,8 +100,7 @@ func (e *LoadError) Unwrap() error { return e.Err }
 // ServerError is a CmdError response matched to this exchange: the
 // server handled the request and refused it. Cmd is the request
 // command the error answers, so callers can react to specific
-// rejections (WaitResult falls back to polling when an old server
-// rejects CmdWaitResult as unknown).
+// rejections.
 type ServerError struct {
 	Cmd uint8
 	Msg string
@@ -126,7 +125,6 @@ type clientMetrics struct {
 	resumedLoads  *metrics.Counter
 	chunkResends  *metrics.Counter
 	waitHolds     *metrics.Counter
-	waitFallback  *metrics.Counter
 	rtt           *metrics.Histogram
 }
 
@@ -144,7 +142,6 @@ func newClientMetrics(r *metrics.Registry) clientMetrics {
 		resumedLoads:  r.Counter("liquid_client_loads_resumed_total", "Loads that resumed from server-side progress instead of restarting."),
 		chunkResends:  r.Counter("liquid_client_load_chunk_resends_total", "Load chunk datagrams retransmitted by the sliding window after a silent round."),
 		waitHolds:     r.Counter("liquid_client_wait_holds_total", "Server-held result waits issued (CmdWaitResult exchanges)."),
-		waitFallback:  r.Counter("liquid_client_wait_fallback_total", "WaitResult downgrades to the poll loop because the server rejected CmdWaitResult."),
 		rtt:           r.Histogram("liquid_client_rtt_seconds", "Round-trip latency of successful exchanges.", metrics.DefSecondsBuckets),
 	}
 }
@@ -183,34 +180,24 @@ type Client struct {
 	Retries int
 	// Board selects the destination board on a multi-board node.
 	Board uint8
-	// PollInterval is the delay between completion polls in
-	// WaitResult (default 2ms — well under the control plane's
-	// latency target, far above the per-request cost). Since the
-	// server-held wait it is the fallback pace, used only when the
-	// server does not support CmdWaitResult or WaitHold is negative.
+	// PollInterval paces WaitResult and WaitReconfigure when a held
+	// exchange comes back early — for example on the direct fpx path,
+	// which answers immediately instead of holding (default 2ms — well
+	// under the control plane's latency target, far above the
+	// per-request cost).
 	PollInterval time.Duration
-	// WaitTimeout bounds how long WaitResult polls before giving up
-	// (0 = 2 minutes).
+	// WaitTimeout bounds how long WaitResult and WaitReconfigure wait
+	// before giving up (0 = 2 minutes).
 	WaitTimeout time.Duration
 	// Window is the sliding-window depth LoadProgram keeps in flight
 	// (0 = DefaultWindow, 1 = stop-and-wait).
 	Window int
 	// WaitHold is the server-side hold WaitResult requests per
-	// CmdWaitResult exchange: the server parks the exchange up to this
-	// long and answers the instant the run completes. 0 = the
-	// DefaultWaitHold; negative disables the held wait entirely and
-	// polls at PollInterval like the pre-v5 client.
+	// CmdWaitResult exchange (and WaitReconfigure per CmdWaitReconfig):
+	// the server parks the exchange up to this long and answers the
+	// instant the run completes (or the swap lands). Zero or negative
+	// selects DefaultWaitHold.
 	WaitHold time.Duration
-	// WireRev pins the client to a historical protocol generation
-	// (0 = latest). It controls both the header shape and the command
-	// vocabulary: rev 1 emits the v1 header (no board byte — Board must
-	// be 0), rev 2 adds the board byte, rev<3 sends no exchange seq and
-	// loads stop-and-wait, rev<4 stamps no trace id, rev<5 never issues
-	// CmdWaitResult (polls instead), rev<6 never issues
-	// CmdWaitReconfig/CmdReconfigStatus holds. Compatibility tests pin
-	// it to drive every client generation against every server
-	// generation.
-	WireRev uint8
 
 	// Tracer, when set, records one span tree per exchange: an
 	// "exchange:<cmd>" span with an "attempt" child for the first
@@ -227,15 +214,6 @@ type Client struct {
 	seq uint16
 	rng *rand.Rand
 	op  tracing.Ctx // active operation span context, if any
-
-	// noServerWait latches after the server rejects CmdWaitResult as
-	// unknown (a pre-v5 node): every later WaitResult goes straight to
-	// the poll loop instead of re-probing per wait.
-	noServerWait bool
-	// noReconfigWait is the rev-6 twin: latched after the server
-	// rejects CmdWaitReconfig as unknown, downgrading WaitReconfigure
-	// to CmdReconfigStatus polling for the life of this client.
-	noReconfigWait bool
 
 	reg *metrics.Registry
 	m   clientMetrics
@@ -273,14 +251,6 @@ func New(conn Conn, clk sim.Clock) *Client {
 		reg:           reg,
 		m:             newClientMetrics(reg),
 	}
-}
-
-// wireRev resolves the pinned protocol generation (0 = latest).
-func (c *Client) wireRev() uint8 {
-	if c.WireRev == 0 {
-		return 6
-	}
-	return c.WireRev
 }
 
 // SetSeed re-seeds the jitter source, pinning the retransmission
@@ -328,6 +298,17 @@ func (c *Client) endOp(sp tracing.SpanHandle, err error) {
 	sp.EndAttrs(tracing.A("status", status))
 }
 
+// stamp addresses pkt in the current dialect: this client's board, the
+// exchange seq, and — when tracing — the trace id (v4 header).
+func (c *Client) stamp(pkt netproto.Packet, seq uint16) netproto.Packet {
+	pkt.Board = c.Board
+	pkt.Seq, pkt.HasSeq = seq, true
+	if c.TraceID != 0 {
+		pkt.TraceID, pkt.HasTrace = c.TraceID, true
+	}
+	return pkt
+}
+
 // jittered applies the ± Jitter fraction to a wait.
 func (c *Client) jittered(d time.Duration) time.Duration {
 	j := c.Jitter
@@ -342,39 +323,25 @@ func (c *Client) jittered(d time.Duration) time.Duration {
 }
 
 // roundTrip sends pkt and waits for a response to the same exchange,
-// retransmitting with exponential backoff on timeout.
+// retransmitting with exponential backoff on timeout. A CmdError
+// response becomes an error; responses carrying a stale exchange seq
+// (duplicates, reordered strays) are counted and discarded.
 func (c *Client) roundTrip(pkt netproto.Packet) (netproto.Packet, error) {
-	return c.exchange(pkt, time.Time{})
+	return c.exchangeCtx(context.Background(), pkt, time.Time{}, 0)
 }
 
-// exchange is roundTrip bounded by an optional overall deadline (zero
-// = none): attempts stop, and per-attempt read deadlines are capped,
-// at the deadline — so a caller-level budget like WaitTimeout is
-// honored even when every poll in a streak times out.
-//
-// A CmdError response becomes an error; responses carrying a stale
-// exchange seq (duplicates, reordered strays) are counted and
-// discarded.
-func (c *Client) exchange(pkt netproto.Packet, overall time.Time) (netproto.Packet, error) {
-	return c.exchangeCtx(context.Background(), pkt, overall, 0)
-}
-
-// exchangeCtx is exchange with two extensions the server-held wait
-// needs: extraWait stretches every attempt's read deadline beyond the
-// backoff schedule (a parked CmdWaitResult legitimately answers up to
-// the hold late, which must not read as loss), and a canceled ctx
+// exchangeCtx is roundTrip with the extensions the server-held wait
+// needs: an optional overall deadline (zero = none) at which attempts
+// stop and per-attempt read deadlines are capped, so WaitTimeout is
+// honored even when every exchange in a streak times out; extraWait,
+// which stretches every attempt's read deadline beyond the backoff
+// schedule (a parked CmdWaitResult legitimately answers up to the hold
+// late, which must not read as loss); and a canceled ctx, which
 // interrupts even a blocked read by expiring the socket's read
 // deadline from the context's watcher goroutine.
 func (c *Client) exchangeCtx(ctx context.Context, pkt netproto.Packet, overall time.Time, extraWait time.Duration) (netproto.Packet, error) {
-	rev := c.wireRev()
-	pkt.Board = c.Board
 	c.seq++
-	if rev >= 3 {
-		pkt.Seq, pkt.HasSeq = c.seq, true
-	}
-	if c.TraceID != 0 && rev >= 4 {
-		pkt.TraceID, pkt.HasTrace = c.TraceID, true
-	}
+	pkt = c.stamp(pkt, c.seq)
 	want := pkt.Command | netproto.RespFlag
 	raw := pkt.Marshal()
 	buf := make([]byte, 64<<10)
@@ -566,11 +533,6 @@ func (c *Client) LoadProgram(addr uint32, image []byte) (err error) {
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	if c.wireRev() < 3 {
-		// No exchange seqs on the wire means acks cannot be matched to
-		// chunks: load stop-and-wait, like the pre-v3 client did.
-		window = 1
-	}
 	return c.loadWindowed(netproto.ChunkImage(addr, image), window)
 }
 
@@ -615,24 +577,11 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 		}
 	}
 
-	rev := c.wireRev()
-
 	send := func(i int) error {
 		if !assigned[i] {
 			c.seq++
 			seqs[i] = c.seq
-			pkt := netproto.Packet{
-				Command: netproto.CmdLoadProgram,
-				Board:   c.Board,
-				Body:    chunks[i].Marshal(),
-			}
-			if rev >= 3 {
-				pkt.Seq, pkt.HasSeq = c.seq, true
-			}
-			if c.TraceID != 0 && rev >= 4 {
-				pkt.TraceID, pkt.HasTrace = c.TraceID, true
-			}
-			raws[i] = pkt.Marshal()
+			raws[i] = c.stamp(netproto.Packet{Command: netproto.CmdLoadProgram, Body: chunks[i].Marshal()}, c.seq).Marshal()
 			assigned[i] = true
 			pend[seqs[i]] = i
 			c.m.requests.With("load").Inc()
@@ -867,49 +816,33 @@ func (c *Client) loadWindowed(chunks []netproto.LoadChunk, window int) error {
 }
 
 // Start executes the loaded program (entry 0 = last load address) and
-// blocks until it completes, returning the cycle-counter report. Since
-// the asynchronous control plane it is a convenience composition of
+// blocks until it completes, returning the cycle-counter report. It is
 // StartAsync + WaitResult: the board is started with one round trip,
-// then polled for completion every PollInterval. The signature and
-// observable behavior match the historical blocking call.
+// then one server-held wait reports completion.
 func (c *Client) Start(entry uint32, maxCycles uint64) (netproto.RunReport, error) {
-	rep, err := c.startAck(entry, maxCycles)
-	if err != nil {
+	if err := c.StartAsync(entry, maxCycles); err != nil {
 		return netproto.RunReport{}, err
-	}
-	if rep.Status != netproto.StatusRunning {
-		// A pre-async (rev<2) server blocks through the run inside
-		// CmdStartLEON: the ack IS the final report, and polling a
-		// server that old for a result it never stores would fail.
-		return rep, nil
 	}
 	return c.WaitResult()
 }
 
-// startAck issues the CmdStartLEON exchange and returns the raw ack
-// report: StatusRunning from an asynchronous server, the final report
-// from a blocking pre-async one.
-func (c *Client) startAck(entry uint32, maxCycles uint64) (rep netproto.RunReport, err error) {
+// StartAsync starts the loaded program and returns as soon as the board
+// acknowledges the handoff with StatusRunning — the "started" ack of
+// the asynchronous control plane. Poll Status (CurCycles advances while
+// running) and collect the report with Result or WaitResult.
+func (c *Client) StartAsync(entry uint32, maxCycles uint64) (err error) {
 	op := c.beginOp("start")
 	defer func() { c.endOp(op, err) }()
 	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
 	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartLEON, Body: req.Marshal()})
 	if err != nil {
-		return netproto.RunReport{}, err
+		return err
 	}
-	return netproto.ParseRunReport(resp.Body)
-}
-
-// StartAsync starts the loaded program and returns as soon as the board
-// acknowledges the handoff — the "started" ack of the asynchronous
-// control plane. Poll Status (CurCycles advances while running) and
-// collect the report with Result or WaitResult.
-func (c *Client) StartAsync(entry uint32, maxCycles uint64) error {
-	rep, err := c.startAck(entry, maxCycles)
+	rep, err := netproto.ParseRunReport(resp.Body)
 	if err != nil {
 		return err
 	}
-	if rep.Status != netproto.StatusRunning && rep.Status != netproto.StatusOK {
+	if rep.Status != netproto.StatusRunning {
 		return fmt.Errorf("client: start ack status %d", rep.Status)
 	}
 	return nil
@@ -919,15 +852,10 @@ func (c *Client) StartAsync(entry uint32, maxCycles uint64) error {
 // is still in flight the report has Status == StatusRunning and a live
 // cycle counter; once complete it is the final report (idempotent — the
 // server keeps answering with the last result).
-func (c *Client) Result() (netproto.RunReport, error) {
-	return c.resultWithin(time.Time{})
-}
-
-// resultWithin is Result bounded by an overall deadline.
-func (c *Client) resultWithin(deadline time.Time) (rep netproto.RunReport, err error) {
+func (c *Client) Result() (rep netproto.RunReport, err error) {
 	op := c.beginOp("result")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.exchange(netproto.Packet{Command: netproto.CmdResult}, deadline)
+	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdResult})
 	if err != nil {
 		return netproto.RunReport{}, err
 	}
@@ -935,16 +863,13 @@ func (c *Client) resultWithin(deadline time.Time) (rep netproto.RunReport, err e
 }
 
 // WaitResult waits for the run to leave StatusRunning and returns the
-// final report. Against a v5 server it uses the server-held wait:
-// each CmdWaitResult exchange asks the server to park the reply up to
-// WaitHold and answer the instant the run completes, so completion
-// latency is one network trip rather than a poll interval. When the
-// server rejects CmdWaitResult as unknown (a pre-v5 node) the client
-// falls back — permanently, for this client — to polling Result every
-// PollInterval. WaitTimeout (default 2 minutes) bounds the whole
-// wait, including streaks where every exchange is lost: the
-// retransmission schedule is capped at the overall deadline, so the
-// wait never overshoots it by a retry cycle.
+// final report. Each CmdWaitResult exchange asks the server to park the
+// reply up to WaitHold and answer the instant the run completes, so
+// completion latency is one network trip rather than a poll interval.
+// WaitTimeout (default 2 minutes) bounds the whole wait, including
+// streaks where every exchange is lost: the retransmission schedule is
+// capped at the overall deadline, so the wait never overshoots it by a
+// retry cycle.
 func (c *Client) WaitResult() (netproto.RunReport, error) {
 	return c.WaitResultContext(context.Background())
 }
@@ -956,6 +881,20 @@ func (c *Client) WaitResult() (netproto.RunReport, error) {
 func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport, err error) {
 	op := c.beginOp("wait_result")
 	defer func() { c.endOp(op, err) }()
+	return heldWait(ctx, c, "run", c.waitHeld, func(r netproto.RunReport) bool {
+		return r.Status != netproto.StatusRunning
+	})
+}
+
+// heldWait re-issues a server-held exchange until done accepts its
+// answer, WaitTimeout passes or ctx ends. Each exchange asks the server
+// to hold up to WaitHold, never beyond the wait's own deadline. An
+// answer that came back before PollInterval elapsed (a server that
+// does not hold) is re-issued after PollInterval; a held one at once.
+// what names the awaited event in errors.
+func heldWait[T any](ctx context.Context, c *Client, what string,
+	held func(ctx context.Context, h time.Duration, overall time.Time) (T, error), done func(T) bool) (T, error) {
+	var zero T
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
@@ -965,7 +904,7 @@ func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport,
 		limit = 2 * time.Minute
 	}
 	hold := c.WaitHold
-	if hold == 0 {
+	if hold <= 0 {
 		hold = DefaultWaitHold
 	}
 	deadline := c.clk.Now().Add(limit)
@@ -974,57 +913,36 @@ func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport,
 	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", err)
+			return zero, fmt.Errorf("client: wait canceled: %w", err)
 		}
-		useHold := hold > 0 && !c.noServerWait && c.wireRev() >= 5
-		var (
-			rep  netproto.RunReport
-			rerr error
-			held time.Duration
-		)
-		if useHold {
-			h := hold
-			if remain := c.clk.Until(deadline); remain < h {
-				h = remain // never ask the server to outlast our own budget
-			}
-			if h < time.Millisecond {
-				h = time.Millisecond
-			}
-			before := c.clk.Now()
-			rep, rerr = c.waitHeld(ctx, h, deadline)
-			held = c.clk.Since(before)
-			if rerr != nil {
-				var se *ServerError
-				if errors.As(rerr, &se) && se.Cmd == netproto.CmdWaitResult {
-					// This server predates CmdWaitResult: downgrade to the
-					// poll loop and stop probing.
-					c.noServerWait = true
-					c.m.waitFallback.Inc()
-					continue
-				}
-			}
-		} else {
-			rep, rerr = c.resultWithin(deadline)
+		h := hold
+		if remain := c.clk.Until(deadline); remain < h {
+			h = remain // never ask the server to outlast our own budget
 		}
-		if rerr != nil {
+		if h < time.Millisecond {
+			h = time.Millisecond
+		}
+		before := c.clk.Now()
+		v, err := held(ctx, h, deadline)
+		if err != nil {
 			if ctx.Err() != nil {
-				return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
+				return zero, fmt.Errorf("client: wait canceled: %w", ctx.Err())
 			}
 			var ue *UnreachableError
-			if errors.As(rerr, &ue) && !c.clk.Now().Before(deadline) {
-				return netproto.RunReport{}, fmt.Errorf("client: run still unconfirmed after %v: %w", limit, rerr)
+			if errors.As(err, &ue) && !c.clk.Now().Before(deadline) {
+				return zero, fmt.Errorf("client: %s still unconfirmed after %v: %w", what, limit, err)
 			}
-			return netproto.RunReport{}, rerr
+			return zero, err
 		}
-		if rep.Status != netproto.StatusRunning {
-			return rep, nil
+		if done(v) {
+			return v, nil
 		}
 		remain := c.clk.Until(deadline)
 		if remain <= 0 {
-			return rep, fmt.Errorf("client: run still in flight after %v", limit)
+			return v, fmt.Errorf("client: %s still in flight after %v", what, limit)
 		}
-		if useHold && held >= interval {
-			// The server held the exchange and the run outlasted the
+		if c.clk.Since(before) >= interval {
+			// The server held the exchange and the event outlasted the
 			// hold: re-issue immediately; the exchange itself paced us.
 			continue
 		}
@@ -1034,7 +952,7 @@ func (c *Client) WaitResultContext(ctx context.Context) (rep netproto.RunReport,
 		}
 		select {
 		case <-ctx.Done():
-			return netproto.RunReport{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
+			return zero, fmt.Errorf("client: wait canceled: %w", ctx.Err())
 		case <-c.clk.After(sleep):
 		}
 	}
@@ -1047,21 +965,6 @@ func (c *Client) waitHeld(ctx context.Context, h time.Duration, overall time.Tim
 	c.m.waitHolds.Inc()
 	req := netproto.WaitResultReq{HoldMs: uint32(h / time.Millisecond)}
 	resp, err := c.exchangeCtx(ctx, netproto.Packet{Command: netproto.CmdWaitResult, Body: req.Marshal()}, overall, h)
-	if err != nil {
-		return netproto.RunReport{}, err
-	}
-	return netproto.ParseRunReport(resp.Body)
-}
-
-// StartSync executes the program with the blocking wire command
-// (CmdStartSync): one request, one response carrying the final report.
-// It is the v1-compatible path for short programs; prefer
-// StartAsync/WaitResult, which keeps the control channel responsive.
-func (c *Client) StartSync(entry uint32, maxCycles uint64) (rep netproto.RunReport, err error) {
-	op := c.beginOp("start_sync")
-	defer func() { c.endOp(op, err) }()
-	req := netproto.StartReq{Entry: entry, MaxCycles: maxCycles}
-	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdStartSync, Body: req.Marshal()})
 	if err != nil {
 		return netproto.RunReport{}, err
 	}
@@ -1110,11 +1013,9 @@ func (c *Client) WriteMemory(addr uint32, data []byte) error {
 
 // Reconfigure asks the platform to swap in a different architecture
 // configuration (the liquid step) and blocks until the swap lands.
-// spec is the platform-defined configuration description. Since
-// protocol rev 6 it is a composition of ReconfigureAsync +
-// WaitReconfigure; against a pre-rev-6 server the ack itself carries
-// the outcome and no wait is issued, so the observable behavior
-// matches the historical blocking call either way.
+// spec is the platform-defined configuration description. It is
+// ReconfigureAsync + WaitReconfigure; an ack that is already terminal
+// (a cache hit on an idle board) needs no wait.
 func (c *Client) Reconfigure(spec []byte) (err error) {
 	op := c.beginOp("reconfigure")
 	defer func() { c.endOp(op, err) }()
@@ -1140,9 +1041,7 @@ func (c *Client) Reconfigure(spec []byte) (err error) {
 // server's immediate ack as a ticket status: Applied for a cache hit
 // on an idle board (the millisecond path), Queued/Synthesizing when
 // the modelled tool run proceeds in the background (follow up with
-// ReconfigStatus or WaitReconfigure). A pre-rev-6 server blocks
-// through the whole swap and its ack maps onto the terminal states, so
-// callers need not know which protocol generation answered.
+// ReconfigStatus or WaitReconfigure).
 func (c *Client) ReconfigureAsync(spec []byte) (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfigure")
 	defer func() { c.endOp(op, err) }()
@@ -1161,8 +1060,7 @@ func (c *Client) ReconfigureAsync(spec []byte) (st netproto.ReconfigStatusResp, 
 // specs into its reconfiguration cache without swapping any of them
 // in, returning how many tickets the server queued. Synthesis
 // proceeds on the server's shared worker pool; later Reconfigure
-// calls to these points become cache hits. A pre-rev-6 server does
-// not understand prewarm bodies and reports 0 queued.
+// calls to these points become cache hits.
 func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 	op := c.beginOp("prewarm")
 	defer func() { c.endOp(op, err) }()
@@ -1184,17 +1082,13 @@ func (c *Client) Prewarm(specs []json.RawMessage) (queued uint32, err error) {
 }
 
 // ReconfigStatus polls the board's asynchronous reconfiguration state
-// with a single round trip (rev 6; older servers reject it as
-// unknown). The poll also pumps: an image whose synthesis completed
-// while the board was busy is swapped in by this very exchange.
-func (c *Client) ReconfigStatus() (netproto.ReconfigStatusResp, error) {
-	return c.reconfigStatusWithin(time.Time{})
-}
-
-func (c *Client) reconfigStatusWithin(deadline time.Time) (st netproto.ReconfigStatusResp, err error) {
+// with a single round trip. The poll also pumps: an image whose
+// synthesis completed while the board was busy is swapped in by this
+// very exchange.
+func (c *Client) ReconfigStatus() (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("reconfig_status")
 	defer func() { c.endOp(op, err) }()
-	resp, err := c.exchange(netproto.Packet{Command: netproto.CmdReconfigStatus}, deadline)
+	resp, err := c.roundTrip(netproto.Packet{Command: netproto.CmdReconfigStatus})
 	if err != nil {
 		return netproto.ReconfigStatusResp{}, err
 	}
@@ -1202,97 +1096,17 @@ func (c *Client) reconfigStatusWithin(deadline time.Time) (st netproto.ReconfigS
 }
 
 // WaitReconfigure blocks until the asynchronous reconfiguration
-// reaches a terminal state and returns it. Like WaitResult it prefers
-// the server-held wait — each CmdWaitReconfig exchange parks on the
-// board worker up to WaitHold and answers the instant the swap lands —
-// and downgrades permanently to CmdReconfigStatus polling when the
-// server rejects the command as unknown. WaitTimeout bounds the whole
-// wait; ctx cancels it early, interrupting even a held exchange.
+// reaches a terminal state and returns it. Like WaitResult it uses the
+// server-held wait: each CmdWaitReconfig exchange parks on the board
+// worker up to WaitHold and answers the instant the swap lands.
+// WaitTimeout bounds the whole wait; ctx cancels it early,
+// interrupting even a held exchange.
 func (c *Client) WaitReconfigure(ctx context.Context) (st netproto.ReconfigStatusResp, err error) {
 	op := c.beginOp("wait_reconfig")
 	defer func() { c.endOp(op, err) }()
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 2 * time.Millisecond
-	}
-	limit := c.WaitTimeout
-	if limit <= 0 {
-		limit = 2 * time.Minute
-	}
-	hold := c.WaitHold
-	if hold == 0 {
-		hold = DefaultWaitHold
-	}
-	deadline := c.clk.Now().Add(limit)
-	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
-		deadline = cd
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", err)
-		}
-		useHold := hold > 0 && !c.noReconfigWait && c.wireRev() >= 6
-		var (
-			rst  netproto.ReconfigStatusResp
-			rerr error
-			held time.Duration
-		)
-		if useHold {
-			h := hold
-			if remain := c.clk.Until(deadline); remain < h {
-				h = remain // never ask the server to outlast our own budget
-			}
-			if h < time.Millisecond {
-				h = time.Millisecond
-			}
-			before := c.clk.Now()
-			rst, rerr = c.waitReconfigHeld(ctx, h, deadline)
-			held = c.clk.Since(before)
-			if rerr != nil {
-				var se *ServerError
-				if errors.As(rerr, &se) && se.Cmd == netproto.CmdWaitReconfig {
-					// This server predates CmdWaitReconfig: downgrade to
-					// the status-poll loop and stop probing.
-					c.noReconfigWait = true
-					c.m.waitFallback.Inc()
-					continue
-				}
-			}
-		} else {
-			rst, rerr = c.reconfigStatusWithin(deadline)
-		}
-		if rerr != nil {
-			if ctx.Err() != nil {
-				return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
-			}
-			var ue *UnreachableError
-			if errors.As(rerr, &ue) && !c.clk.Now().Before(deadline) {
-				return netproto.ReconfigStatusResp{}, fmt.Errorf("client: reconfiguration still unconfirmed after %v: %w", limit, rerr)
-			}
-			return netproto.ReconfigStatusResp{}, rerr
-		}
-		if rst.Terminal() || rst.State == netproto.ReconfigNone {
-			return rst, nil
-		}
-		remain := c.clk.Until(deadline)
-		if remain <= 0 {
-			return rst, fmt.Errorf("client: reconfiguration still in flight after %v", limit)
-		}
-		if useHold && held >= interval {
-			// The server held the exchange and the swap outlasted the
-			// hold: re-issue immediately; the exchange itself paced us.
-			continue
-		}
-		sleep := interval
-		if sleep > remain {
-			sleep = remain
-		}
-		select {
-		case <-ctx.Done():
-			return netproto.ReconfigStatusResp{}, fmt.Errorf("client: wait canceled: %w", ctx.Err())
-		case <-c.clk.After(sleep):
-		}
-	}
+	return heldWait(ctx, c, "reconfiguration", c.waitReconfigHeld, func(st netproto.ReconfigStatusResp) bool {
+		return st.Terminal() || st.State == netproto.ReconfigNone
+	})
 }
 
 // waitReconfigHeld issues one server-held reconfiguration wait; the

@@ -11,7 +11,7 @@ import (
 )
 
 // reconfigAckPacket builds the RunReport-shaped CmdReconfigure ack a
-// rev-6 server sends for the given ticket status.
+// server sends for the given ticket status.
 func reconfigAckPacket(st netproto.ReconfigStatusResp) []byte {
 	return netproto.Packet{
 		Command: netproto.CmdReconfigure | netproto.RespFlag,
@@ -44,8 +44,8 @@ func TestReconfigureAsyncAck(t *testing.T) {
 	}
 }
 
-// TestReconfigStatusRoundTrip: all fields of the rev-6 status body
-// survive the wire.
+// TestReconfigStatusRoundTrip: all fields of the status body survive
+// the wire.
 func TestReconfigStatusRoundTrip(t *testing.T) {
 	want := netproto.ReconfigStatusResp{
 		Status: netproto.StatusOK, State: netproto.ReconfigSwapping, CacheHit: true,
@@ -128,47 +128,6 @@ func TestWaitReconfigureHeld(t *testing.T) {
 	}
 }
 
-// TestWaitReconfigureFallback: a server that rejects CmdWaitReconfig
-// as unknown downgrades the client to status polling, permanently.
-func TestWaitReconfigureFallback(t *testing.T) {
-	var waits, polls atomic.Int64
-	addr := scriptServer(t, func(req netproto.Packet) [][]byte {
-		switch req.Command {
-		case netproto.CmdWaitReconfig:
-			waits.Add(1)
-			return [][]byte{netproto.Packet{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: netproto.CmdWaitReconfig, Msg: "unknown command"}.Marshal()}.Marshal()}
-		case netproto.CmdReconfigStatus:
-			st := netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigSynthesizing}
-			if polls.Add(1) >= 2 {
-				st.State = netproto.ReconfigApplied
-			}
-			return [][]byte{reconfigStatusPacket(netproto.CmdReconfigStatus, st)}
-		}
-		return nil
-	})
-	c := dialFast(t, addr)
-	st, err := c.WaitReconfigure(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != netproto.ReconfigApplied {
-		t.Errorf("fallback wait returned %+v", st)
-	}
-	if got := waits.Load(); got != 1 {
-		t.Errorf("CmdWaitReconfig probed %d times, want exactly 1 (sticky downgrade)", got)
-	}
-	// The downgrade is per-connection sticky: a second wait never
-	// probes the held path again.
-	polls.Store(1)
-	if _, err := c.WaitReconfigure(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := waits.Load(); got != 1 {
-		t.Errorf("second wait re-probed CmdWaitReconfig (%d sends)", got)
-	}
-}
-
 // TestReconfigureBlockingComposition: Reconfigure waits out a
 // non-terminal ack and succeeds only on Applied.
 func TestReconfigureBlockingComposition(t *testing.T) {
@@ -194,9 +153,9 @@ func TestReconfigureBlockingComposition(t *testing.T) {
 	}
 }
 
-// TestReconfigurePreRev6Ack: an old blocking server answers with a
-// plain StatusOK report (no state in the spares); the client treats
-// the ack as the terminal outcome and issues no follow-up exchanges.
+// TestReconfigurePreRev6Ack: an ack that is a plain StatusOK report
+// (no ticket state in the spares) is the terminal outcome; the client
+// issues no follow-up exchanges.
 func TestReconfigurePreRev6Ack(t *testing.T) {
 	var followups atomic.Int64
 	addr := scriptServer(t, func(req netproto.Packet) [][]byte {

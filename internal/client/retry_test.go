@@ -222,20 +222,20 @@ func TestWaitResultHonorsWaitTimeout(t *testing.T) {
 	}
 }
 
-func TestWaitResultContextCancel(t *testing.T) {
-	// A pre-v5 server: CmdWaitResult is unknown, so the client falls
-	// back to polling CmdResult.
-	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
+// runningServer answers every CmdWaitResult at once with StatusRunning
+// — a run that never finishes, on a server that never holds.
+func runningServer(t *testing.T) string {
+	return seqServer(t, func(req netproto.Packet) []netproto.Packet {
+		if req.Command != netproto.CmdWaitResult {
 			return nil
 		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag,
+		return []netproto.Packet{{Command: netproto.CmdWaitResult | netproto.RespFlag,
 			Body: netproto.RunReport{Status: netproto.StatusRunning, Cycles: 5}.Marshal()}}
 	})
+}
+
+func TestWaitResultContextCancel(t *testing.T) {
+	addr := runningServer(t)
 	c := dialFast(t, addr)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -253,17 +253,7 @@ func TestWaitResultContextCancel(t *testing.T) {
 }
 
 func TestWaitResultContextDeadline(t *testing.T) {
-	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
-			return nil
-		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag,
-			Body: netproto.RunReport{Status: netproto.StatusRunning, Cycles: 5}.Marshal()}}
-	})
+	addr := runningServer(t)
 	c := dialFast(t, addr)
 	c.WaitTimeout = time.Minute // ctx deadline is sooner and must win
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -278,15 +268,14 @@ func TestWaitResultContextDeadline(t *testing.T) {
 	}
 }
 
+// TestWaitResultPollsUntilDone: a server that answers each held wait
+// at once (StatusRunning while the run is in flight) is re-asked every
+// PollInterval until the final report arrives.
 func TestWaitResultPollsUntilDone(t *testing.T) {
 	var mu sync.Mutex
 	polls := 0
 	addr := seqServer(t, func(req netproto.Packet) []netproto.Packet {
-		if req.Command == netproto.CmdWaitResult {
-			return []netproto.Packet{{Command: netproto.CmdError,
-				Body: netproto.ErrorResp{Code: req.Command, Msg: "unknown command"}.Marshal()}}
-		}
-		if req.Command != netproto.CmdResult {
+		if req.Command != netproto.CmdWaitResult {
 			return nil
 		}
 		mu.Lock()
@@ -297,7 +286,7 @@ func TestWaitResultPollsUntilDone(t *testing.T) {
 		if n > 3 {
 			rep = netproto.RunReport{Status: netproto.StatusOK, Cycles: 77}
 		}
-		return []netproto.Packet{{Command: netproto.CmdResult | netproto.RespFlag, Body: rep.Marshal()}}
+		return []netproto.Packet{{Command: netproto.CmdWaitResult | netproto.RespFlag, Body: rep.Marshal()}}
 	})
 	c := dialFast(t, addr)
 	rep, err := c.WaitResult()
@@ -312,14 +301,13 @@ func TestWaitResultPollsUntilDone(t *testing.T) {
 	if polls < 4 {
 		t.Errorf("server saw %d polls, want >= 4", polls)
 	}
-	// The held wait was tried exactly once: after the server rejected
-	// CmdWaitResult the client downgraded for the connection's lifetime.
+	// Every re-ask is a held wait; the client never polls CmdResult.
 	snap := c.Metrics().Snapshot()
-	if got := snap.Counters["liquid_client_wait_fallback_total"]; got != 1 {
-		t.Errorf("wait fallbacks = %d, want exactly 1 (downgrade is sticky)", got)
+	if got := snap.Counter(`liquid_client_requests_total{cmd="wait"}`); got < 4 {
+		t.Errorf("requests{wait} = %d, want >= 4", got)
 	}
-	if got := snap.Counter(`liquid_client_requests_total{cmd="wait"}`); got != 1 {
-		t.Errorf("requests{wait} = %d, want 1", got)
+	if got := snap.Counter(`liquid_client_requests_total{cmd="result"}`); got != 0 {
+		t.Errorf("requests{result} = %d, want 0", got)
 	}
 }
 

@@ -155,8 +155,6 @@ func New(cfg leon.Config, opts Options) (*System, error) {
 	if err := s.instantiate(cfg, img, nil, nil); err != nil {
 		return nil, err
 	}
-	s.platform.ReconfigureFn = s.reconfigureFromSpec
-	s.platform.ReconfigureCtxFn = s.reconfigureFromSpecCtx
 	s.platform.ReconfigAsyncFn = s.reconfigAsyncFromSpec
 	s.platform.ReconfigStatusFn = s.ReconfigureStatus
 	s.platform.ConfigFn = func() []byte {
@@ -376,8 +374,8 @@ func (s *System) waitTicket(tc tracing.Ctx, t *reconfig.Ticket, coalesced bool) 
 }
 
 // errRunInFlight defers a full swap: the bitfile reload would kill the
-// in-flight run, so the caller parks (async path) or fails (blocking
-// path, preserving the pre-rev-6 contract).
+// in-flight run, so the caller parks (async path) or fails (the
+// blocking Reconfigure path).
 var errRunInFlight = errors.New("core: cannot reconfigure while a run is in flight")
 
 // applyLocked swaps the board to cfg/img with s.mu held: a partial
@@ -454,25 +452,6 @@ func (s *System) LastReconfigureWasPartial() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastPartial
-}
-
-// reconfigureFromSpec handles the network CmdReconfigure payload.
-func (s *System) reconfigureFromSpec(blob []byte) error {
-	return s.reconfigureFromSpecCtx(tracing.Ctx{}, blob)
-}
-
-// reconfigureFromSpecCtx is the trace-aware CmdReconfigure handler.
-func (s *System) reconfigureFromSpecCtx(tc tracing.Ctx, blob []byte) error {
-	var spec Spec
-	if err := json.Unmarshal(blob, &spec); err != nil {
-		return fmt.Errorf("core: bad reconfigure spec: %w", err)
-	}
-	cfg, err := spec.ToConfig(s.Config())
-	if err != nil {
-		return err
-	}
-	_, err = s.ReconfigureCtx(tc, cfg)
-	return err
 }
 
 // CompileC compiles Liquid-C source and links it into a loadable

@@ -229,7 +229,7 @@ func (s *System) Prewarm(cfgs []leon.Config) int {
 	return len(cfgs)
 }
 
-// reconfigAsyncFromSpec is the rev-6 CmdReconfigure handler: a
+// reconfigAsyncFromSpec is the CmdReconfigure handler: a
 // {"prewarm":[spec,...]} body queues a sweep on the synthesis pool; a
 // plain spec body starts (or coalesces onto) an asynchronous swap. The
 // returned status is compressed into the RunReport-shaped ack.

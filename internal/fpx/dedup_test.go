@@ -98,16 +98,16 @@ func TestRetransmitAnsweredFromCache(t *testing.T) {
 	}
 }
 
-// countingCtrl counts Execute calls so a test can prove a duplicated
+// countingCtrl counts Start calls so a test can prove a duplicated
 // start never re-runs the program.
 type countingCtrl struct {
 	*Emulator
-	executes int
+	starts int
 }
 
-func (c *countingCtrl) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
-	c.executes++
-	return c.Emulator.Execute(entry, maxCycles)
+func (c *countingCtrl) Start(entry uint32, maxCycles uint64) error {
+	c.starts++
+	return c.Emulator.Start(entry, maxCycles)
 }
 
 // TestRetransmittedWriteNotReapplied: the dedup window makes mutating
@@ -122,13 +122,19 @@ func TestRetransmittedWriteNotReapplied(t *testing.T) {
 	if resps := p.HandlePayloadFrom("src:1", load); len(resps) != 1 {
 		t.Fatalf("load responses: %d", len(resps))
 	}
-	start := netproto.Packet{Command: netproto.CmdStartSync, Seq: 2, HasSeq: true,
+	start := netproto.Packet{Command: netproto.CmdStartLEON, Seq: 2, HasSeq: true,
 		Body: netproto.StartReq{Entry: leon.DefaultLoadAddr}.Marshal()}.Marshal()
 	r1 := p.HandlePayloadFrom("src:1", start)
-	runs := em.executes
+	runs := em.starts
+	// The emulator finishes the run by the next observation, so the
+	// board is idle again: only the dedup window stands between the
+	// retransmission and a second run.
+	if st := em.State(); st == leon.StateRunning {
+		t.Fatalf("emulated run still in flight (state %v)", st)
+	}
 	r2 := p.HandlePayloadFrom("src:1", start) // retransmission
-	if em.executes != runs {
-		t.Errorf("retransmitted start re-ran the program (%d → %d executes)", runs, em.executes)
+	if runs != 1 || em.starts != runs {
+		t.Errorf("retransmitted start re-ran the program (%d → %d starts)", runs, em.starts)
 	}
 	if !bytes.Equal(r1[0].Marshal(), r2[0].Marshal()) {
 		t.Error("retransmitted start drew a different report")

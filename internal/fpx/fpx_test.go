@@ -3,12 +3,14 @@ package fpx
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"liquidarch/internal/asm"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/tracing"
 )
 
 var (
@@ -166,40 +168,6 @@ func TestFullRemoteSession(t *testing.T) {
 	}
 }
 
-// TestStartSyncCompat locks the blocking compatibility path: one
-// CmdStartSync round trip answers with the final RunReport, exactly as
-// the pre-async CmdStartLEON did.
-func TestStartSyncCompat(t *testing.T) {
-	p := newLEONPlatform(t)
-	obj := testProgram(t)
-	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
-		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
-	}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status != netproto.StatusOK || rep.Cycles == 0 {
-		t.Fatalf("startsync report %+v", rep)
-	}
-	// Result afterwards is idempotent and matches.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep2, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil || rep2 != rep {
-		t.Errorf("result after startsync = %+v, %v (want %+v)", rep2, err, rep)
-	}
-	// StartSync without a load errors with its own code.
-	p2 := newLEONPlatform(t)
-	resps = sendCmd(t, p2, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	er, err := netproto.ParseErrorResp(resps[0].Body)
-	if err != nil || er.Code != netproto.CmdStartSync {
-		t.Errorf("startsync no-load error = %+v, %v", er, err)
-	}
-}
-
-// TestMultiPacketLoadOutOfOrder delivers a multi-chunk load shuffled
-// and with duplicates, as UDP may: reassembly must still be exact.
 func TestMultiPacketLoadOutOfOrder(t *testing.T) {
 	p := newLEONPlatform(t)
 	// Build a big image: program + large data tail.
@@ -289,19 +257,22 @@ func TestFaultingProgramReportsStatusFault(t *testing.T) {
 	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
 		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
 	}
-	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartSync, Body: netproto.StartReq{}.Marshal()})
-	rep, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil {
-		t.Fatal(err)
+	resps := sendCmd(t, p, netproto.Packet{Command: netproto.CmdStartLEON, Body: netproto.StartReq{}.Marshal()})
+	ack, err := netproto.ParseRunReport(resps[0].Body)
+	if err != nil || ack.Status != netproto.StatusRunning {
+		t.Fatalf("start ack = %+v, %v, want StatusRunning", ack, err)
 	}
-	if rep.Status != netproto.StatusFault || rep.TT != 0x02 {
-		t.Errorf("report = %+v, want fault tt=2", rep)
-	}
-	// The async path reports the same fault via CmdResult.
-	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
-	rep2, err := netproto.ParseRunReport(resps[0].Body)
-	if err != nil || rep2.Status != netproto.StatusFault || rep2.TT != 0x02 {
-		t.Errorf("result report = %+v, %v, want fault tt=2", rep2, err)
+	// CmdResult blocks on the actor until the run ends and reports the
+	// trap; a repeated collect is idempotent.
+	for i := 0; i < 2; i++ {
+		resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdResult})
+		rep, err := netproto.ParseRunReport(resps[0].Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status != netproto.StatusFault || rep.TT != 0x02 {
+			t.Errorf("result %d report = %+v, want fault tt=2", i, rep)
+		}
 	}
 }
 
@@ -329,11 +300,34 @@ func TestReadLengthCap(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: an unrouted opcode — including 0x0B, the retired
+// blocking start — and an unsupported header version (including the
+// retired v2) are answered with CmdError in either dialect.
 func TestUnknownCommand(t *testing.T) {
 	p := newLEONPlatform(t)
-	resps := sendCmd(t, p, netproto.Packet{Command: 0x7F})
-	if resps[0].Command != netproto.CmdError {
-		t.Errorf("response command %#x", resps[0].Command)
+	errMsg := func(payload []byte) string {
+		t.Helper()
+		resps := p.HandlePayload(payload)
+		if len(resps) != 1 || resps[0].Command != netproto.CmdError {
+			t.Fatalf("payload % x answered %+v, want one CmdError", payload, resps)
+		}
+		er, err := netproto.ParseErrorResp(resps[0].Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return er.Msg
+	}
+	for _, cmd := range []uint8{0x7F, 0x0B} {
+		for _, pkt := range []netproto.Packet{{Command: cmd}, {Command: cmd, Seq: 1, HasSeq: true}} {
+			if msg := errMsg(pkt.Marshal()); !strings.Contains(msg, "unknown command") {
+				t.Errorf("command %#02x (seq %v) rejected with %q", cmd, pkt.HasSeq, msg)
+			}
+		}
+	}
+	for _, v := range []byte{2, 9} {
+		if msg := errMsg([]byte{'L', 'Q', v, netproto.CmdStatus, 0}); !strings.Contains(msg, "unsupported version") {
+			t.Errorf("v%d header rejected with %q", v, msg)
+		}
 	}
 }
 
@@ -343,16 +337,26 @@ func TestReconfigureUnwired(t *testing.T) {
 	if _, err := netproto.ParseErrorResp(resps[0].Body); err != nil {
 		t.Error("unwired reconfigure did not error")
 	}
-	// Wired: succeeds and clears loaded address.
+	// Wired: an applied swap acks StatusOK and clears the loaded address.
+	obj := testProgram(t)
+	for _, c := range netproto.ChunkImage(obj.Origin, obj.Code) {
+		sendCmd(t, p, netproto.Packet{Command: netproto.CmdLoadProgram, Body: c.Marshal()})
+	}
 	called := false
-	p.ReconfigureFn = func(spec []byte) error { called = true; return nil }
+	p.ReconfigAsyncFn = func(tracing.Ctx, []byte) (netproto.ReconfigStatusResp, error) {
+		called = true
+		return netproto.ReconfigStatusResp{Status: netproto.StatusOK, State: netproto.ReconfigApplied}, nil
+	}
 	resps = sendCmd(t, p, netproto.Packet{Command: netproto.CmdReconfigure, Body: []byte("{}")})
 	rep, err := netproto.ParseRunReport(resps[0].Body)
 	if err != nil || rep.Status != netproto.StatusOK {
 		t.Errorf("reconfigure resp %+v, %v", rep, err)
 	}
 	if !called {
-		t.Error("ReconfigureFn not invoked")
+		t.Error("ReconfigAsyncFn not invoked")
+	}
+	if p.LoadedAddr() != 0 {
+		t.Errorf("loaded address %#x survived an applied swap", p.LoadedAddr())
 	}
 }
 

@@ -18,14 +18,13 @@ const (
 	CmdTraceReport uint8 = 0x08 // pull the last run's instrumented trace summary
 	CmdStats       uint8 = 0x09 // pull the platform's telemetry snapshot (JSON)
 	CmdResult      uint8 = 0x0A // collect the completed run's result (blocking runs report live state)
-	CmdStartSync   uint8 = 0x0B // compatibility path: start AND run to completion in one round trip
 	CmdTraces      uint8 = 0x0C // pull the server-side exchange-trace spans (JSON); 8-byte body selects one trace id
 	CmdWaitResult  uint8 = 0x0D // long-poll result: the server holds the exchange (bounded) and answers the instant the run completes
 
-	// Command-set revision 6: the non-blocking reconfigure protocol.
-	// CmdReconfigure now acks immediately with a ticket state packed in
-	// the RunReport spare fields (see ReconfigAckReport); these two
-	// commands observe the in-flight synthesis.
+	// The non-blocking reconfigure protocol: CmdReconfigure acks
+	// immediately with a ticket state packed in the RunReport spare
+	// fields (see ReconfigAckReport); these two commands observe the
+	// in-flight synthesis.
 	CmdReconfigStatus uint8 = 0x0E // poll the board's reconfiguration ticket (ReconfigStatusResp)
 	CmdWaitReconfig   uint8 = 0x0F // long-poll reconfigure: the server holds the exchange (bounded) and answers when the swap lands
 
@@ -61,8 +60,6 @@ func CommandName(cmd uint8) string {
 		return "stats"
 	case CmdResult:
 		return "result"
-	case CmdStartSync:
-		return "startsync"
 	case CmdTraces:
 		return "traces"
 	case CmdWaitResult:
@@ -92,41 +89,41 @@ const (
 // route them (other traffic passes through the wrappers untouched).
 var Magic = [2]byte{'L', 'Q'}
 
-// Version is the original (single-board) control protocol version:
-// magic(2) + version(1) + command(1).
+// The control plane speaks two wire dialects, told apart by the
+// header's version byte:
+//
+//   - the paper dialect (§2.6): the v1 header, which has no board byte
+//     and no exchange seq, so it always addresses board 0 and bypasses
+//     the dedup window;
+//   - the current dialect: the v3 header (board + exchange seq), or v4
+//     when a trace id rides along.
+
+// Version is the paper's control protocol version: magic(2) +
+// version(1) + command(1).
 const Version uint8 = 1
 
-// VersionBoard is the multi-board header revision: magic(2) +
-// version(1) + command(1) + board(1). Packets addressed to board 0
-// keep the v1 shape so every pre-existing client and capture stays
-// byte-identical; the extra board byte appears only when a node hosts
-// more than one platform.
-const VersionBoard uint8 = 2
-
-// VersionSeq is the exchange-sequenced header revision: magic(2) +
-// version(1) + command(1) + board(1) + seq(2). The 16-bit sequence
-// number identifies one request/response exchange: the client stamps
-// each NEW request with a fresh seq (retransmissions of the same
-// request reuse it), and the platform echoes the seq in every response
-// it generates for that request. This is what makes the control plane
-// safe on a duplicating, reordering transport — the client discards
-// responses whose seq is not the one in flight, and the server's
-// dedup window re-acks retransmitted requests from cache instead of
-// re-applying them. v1/v2 peers keep working: packets without a seq
-// simply bypass both mechanisms.
+// VersionSeq is the exchange-sequenced header: magic(2) + version(1) +
+// command(1) + board(1) + seq(2). The 16-bit sequence number
+// identifies one request/response exchange: the client stamps each NEW
+// request with a fresh seq (retransmissions of the same request reuse
+// it), and the platform echoes the seq in every response it generates
+// for that request. This is what makes the control plane safe on a
+// duplicating, reordering transport — the client discards responses
+// whose seq is not the one in flight, and the server's dedup window
+// re-acks retransmitted requests from cache instead of re-applying
+// them. Paper-dialect packets carry no seq and bypass both mechanisms.
 const VersionSeq uint8 = 3
 
-// VersionTrace is the trace-context header revision: magic(2) +
+// VersionTrace is VersionSeq plus a trace context: magic(2) +
 // version(1) + command(1) + board(1) + seq(2) + traceid(8). The 64-bit
 // trace id names the end-to-end exchange trace the packet belongs to:
 // the client mints one per logical operation and stamps every request;
 // the platform echoes it in responses and attributes its own spans
 // (queue wait, run slices, reconfiguration) to the same trace. A v4
-// packet always carries a seq (HasTrace implies HasSeq on the wire) —
-// tracing builds on the v3 exchange identity. Clients that send no
-// trace id (v1–v3) keep working: the server assigns one internally
-// when tracing is enabled, and responds with the version the request
-// used.
+// packet always carries a seq (HasTrace implies HasSeq on the wire).
+// Requests without a trace id keep working: the server assigns one
+// internally when tracing is enabled, and responds with the version
+// the request used.
 const VersionTrace uint8 = 4
 
 // headerLen is the v1 header: magic(2) + version(1) + command(1).
@@ -153,8 +150,8 @@ type Packet struct {
 
 // Marshal produces the UDP payload for the packet. A packet carrying
 // a trace id marshals as the v4 header, one carrying only a sequence
-// number as v3; otherwise board 0 marshals as the wire-compatible v1
-// header and other boards use the v2 header carrying the board byte.
+// number as v3, and any other as the paper's v1 header — which has no
+// board byte, so such a packet addresses board 0 whatever Board holds.
 func (p Packet) Marshal() []byte {
 	if p.HasTrace {
 		out := make([]byte, headerLen+11+len(p.Body))
@@ -177,27 +174,18 @@ func (p Packet) Marshal() []byte {
 		copy(out[headerLen+3:], p.Body)
 		return out
 	}
-	if p.Board == 0 {
-		out := make([]byte, headerLen+len(p.Body))
-		out[0], out[1] = Magic[0], Magic[1]
-		out[2] = Version
-		out[3] = p.Command
-		copy(out[headerLen:], p.Body)
-		return out
-	}
-	out := make([]byte, headerLen+1+len(p.Body))
+	out := make([]byte, headerLen+len(p.Body))
 	out[0], out[1] = Magic[0], Magic[1]
-	out[2] = VersionBoard
+	out[2] = Version
 	out[3] = p.Command
-	out[4] = p.Board
-	copy(out[headerLen+1:], p.Body)
+	copy(out[headerLen:], p.Body)
 	return out
 }
 
 // ParsePacket validates the header and returns the command, board,
-// sequence number, trace id and body. The v1 (implicit board 0), v2
-// (board byte), v3 (board + exchange seq) and v4 (board + seq + trace
-// id) headers are all accepted.
+// sequence number, trace id and body. The v1 (implicit board 0), v3
+// (board + exchange seq) and v4 (board + seq + trace id) headers are
+// accepted; any other version is rejected.
 func ParsePacket(b []byte) (Packet, error) {
 	if len(b) < headerLen {
 		return Packet{}, fmt.Errorf("netproto: control packet truncated (%d bytes)", len(b))
@@ -208,11 +196,6 @@ func ParsePacket(b []byte) (Packet, error) {
 	switch b[2] {
 	case Version:
 		return Packet{Command: b[3], Body: b[headerLen:]}, nil
-	case VersionBoard:
-		if len(b) < headerLen+1 {
-			return Packet{}, fmt.Errorf("netproto: v2 control packet truncated (%d bytes)", len(b))
-		}
-		return Packet{Command: b[3], Board: b[4], Body: b[headerLen+1:]}, nil
 	case VersionSeq:
 		if len(b) < headerLen+3 {
 			return Packet{}, fmt.Errorf("netproto: v3 control packet truncated (%d bytes)", len(b))
@@ -422,11 +405,8 @@ func ParseRunReport(b []byte) (RunReport, error) {
 // same RunReport body CmdResult uses — the instant the board's run
 // completes. A server whose board is not running, whose hold budget
 // expires, or whose waiter table is full answers immediately
-// (StatusRunning while in flight), and the client falls back to
-// polling. HoldMs 0 means "answer immediately" (equivalent to
-// CmdResult). The command reuses the v1–v4 headers unchanged; servers
-// predating command-set revision 5 answer CmdError "unknown command",
-// which clients treat as "poll instead".
+// (StatusRunning while in flight), and the client re-issues the wait.
+// HoldMs 0 means "answer immediately" (equivalent to CmdResult).
 type WaitResultReq struct {
 	HoldMs uint32
 }

@@ -8,16 +8,17 @@ import (
 // The native fuzz targets complement TestParsersNeverPanic with
 // round-trip invariants: whatever a parser accepts must re-marshal to
 // something the parser accepts again, with identical semantics. Seed
-// inputs covering the v1/v2/v3 headers and the CmdResult/CmdStartSync
-// body codecs live in testdata/fuzz; `go test -fuzz` grows them.
+// inputs covering the headers and body codecs live in testdata/fuzz
+// (among them the retired v2 header and 0x0B blocking start, kept as
+// inputs the parsers must reject or pass through unharmed); `go test
+// -fuzz` grows them.
 
-// FuzzParsePacket covers the four header revisions: v1 (implicit
-// board 0), v2 (board byte), v3 (board + exchange seq) and v4 (board
-// + seq + trace id).
+// FuzzParsePacket covers the accepted headers — v1 (implicit board 0),
+// v3 (board + exchange seq) and v4 (board + seq + trace id) — and the
+// rejection of everything else.
 func FuzzParsePacket(f *testing.F) {
 	f.Add(Packet{Command: CmdStatus}.Marshal())
 	f.Add(Packet{Command: CmdResult, Board: 3}.Marshal())
-	f.Add(Packet{Command: CmdStartSync, Board: 2, Seq: 0xBEEF, HasSeq: true, Body: []byte{1, 2, 3}}.Marshal())
 	f.Add(Packet{Command: CmdError, Seq: 1, HasSeq: true, Body: ErrorResp{Code: CmdStatus, Msg: "x"}.Marshal()}.Marshal())
 	f.Add(Packet{Command: CmdStartLEON, Board: 1, Seq: 7, HasSeq: true,
 		TraceID: 0x0123456789ABCDEF, HasTrace: true, Body: []byte{9}}.Marshal())
@@ -80,7 +81,7 @@ func FuzzParseLoadChunk(f *testing.F) {
 	})
 }
 
-// FuzzParseRunReport covers the CmdResult / CmdStartSync response body
+// FuzzParseRunReport covers the CmdResult / CmdWaitResult response body
 // (and the load-ack progress encoding that rides in it).
 func FuzzParseRunReport(f *testing.F) {
 	f.Add(RunReport{Status: StatusOK, Cycles: 123456, Instructions: 99}.Marshal())
@@ -107,8 +108,7 @@ func FuzzParseRunReport(f *testing.F) {
 	})
 }
 
-// FuzzParseStartReq covers the CmdStartLEON / CmdStartSync request
-// body.
+// FuzzParseStartReq covers the CmdStartLEON request body.
 func FuzzParseStartReq(f *testing.F) {
 	f.Add(StartReq{Entry: 0x40001000, MaxCycles: 1 << 40}.Marshal())
 	f.Add(StartReq{}.Marshal())

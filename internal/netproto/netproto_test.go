@@ -127,31 +127,40 @@ func TestControlPacketRoundTrip(t *testing.T) {
 }
 
 func TestControlPacketBoardHeader(t *testing.T) {
-	// Board 0 marshals as the byte-identical v1 header.
+	// Board 0 without a seq marshals as the paper's v1 header.
 	p0 := Packet{Command: CmdStatus, Body: []byte{1}}
 	raw0 := p0.Marshal()
 	if raw0[2] != Version || len(raw0) != headerLen+1 {
 		t.Errorf("board-0 packet not v1: % x", raw0)
 	}
-	// Non-zero boards use the v2 header and round-trip the board byte.
-	p2 := Packet{Command: CmdStartLEON, Board: 3, Body: []byte{4, 5}}
-	raw2 := p2.Marshal()
-	if raw2[2] != VersionBoard {
-		t.Errorf("board-3 packet version = %d", raw2[2])
+	// The board byte travels in the current dialect's v3 header.
+	p3 := Packet{Command: CmdStartLEON, Board: 3, Seq: 1, HasSeq: true, Body: []byte{4, 5}}
+	raw3 := p3.Marshal()
+	if raw3[2] != VersionSeq {
+		t.Errorf("board-3 packet version = %d", raw3[2])
 	}
-	got, err := ParsePacket(raw2)
+	got, err := ParsePacket(raw3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Command != CmdStartLEON || got.Board != 3 || !bytes.Equal(got.Body, []byte{4, 5}) {
-		t.Errorf("v2 packet = %+v", got)
+		t.Errorf("v3 packet = %+v", got)
 	}
-	if !IsLiquidPacket(raw2) {
-		t.Error("IsLiquidPacket false for v2 packet")
+	if !IsLiquidPacket(raw3) {
+		t.Error("IsLiquidPacket false for v3 packet")
 	}
-	// A v2 header without the board byte is truncated.
-	if _, err := ParsePacket([]byte{'L', 'Q', VersionBoard, 1}); err == nil {
-		t.Error("truncated v2 packet accepted")
+	// The v1 header has no board byte: without a seq, a board-3
+	// packet can only address board 0.
+	got, err = ParsePacket(Packet{Command: CmdStartLEON, Board: 3}.Marshal())
+	if err != nil || got.Board != 0 || got.HasSeq {
+		t.Errorf("unsequenced board-3 packet = %+v, %v; want v1 to board 0", got, err)
+	}
+	// The retired v2 header (board byte, no seq) is rejected, whole or
+	// truncated.
+	for _, raw := range [][]byte{{'L', 'Q', 2, 1, 3}, {'L', 'Q', 2, 1}} {
+		if _, err := ParsePacket(raw); err == nil {
+			t.Errorf("v2 packet % x accepted", raw)
+		}
 	}
 }
 
@@ -174,13 +183,13 @@ func TestControlPacketTraceHeader(t *testing.T) {
 	if !IsLiquidPacket(raw) {
 		t.Error("IsLiquidPacket false for v4 packet")
 	}
-	// Without a trace id the wire shape is unchanged from before v4:
-	// HasSeq alone still yields the v3 header, board alone v2, plain v1.
+	// Without a trace id, HasSeq alone yields the v3 header; a packet
+	// with neither is the paper's v1, whatever its board.
 	if raw := (Packet{Command: CmdStatus, Seq: 9, HasSeq: true}).Marshal(); raw[2] != VersionSeq {
 		t.Errorf("HasSeq-only packet version = %d, want v3", raw[2])
 	}
-	if raw := (Packet{Command: CmdStatus, Board: 1}).Marshal(); raw[2] != VersionBoard {
-		t.Errorf("board-only packet version = %d, want v2", raw[2])
+	if raw := (Packet{Command: CmdStatus, Board: 1}).Marshal(); raw[2] != Version {
+		t.Errorf("board-only packet version = %d, want v1", raw[2])
 	}
 	if raw := (Packet{Command: CmdStatus}).Marshal(); raw[2] != Version {
 		t.Errorf("plain packet version = %d, want v1", raw[2])

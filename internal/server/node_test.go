@@ -214,7 +214,7 @@ func TestBadBoardRejected(t *testing.T) {
 	}
 }
 
-// stuckCtrl blocks Execute until released, simulating a board whose
+// stuckCtrl blocks ReadMemory until released, simulating a board whose
 // worker is pinned by a blocking command.
 type stuckCtrl struct {
 	*fpx.Emulator
@@ -223,10 +223,10 @@ type stuckCtrl struct {
 	once    sync.Once
 }
 
-func (sc *stuckCtrl) Execute(entry uint32, maxCycles uint64) (leon.RunResult, error) {
+func (sc *stuckCtrl) ReadMemory(addr uint32, n int) ([]byte, error) {
 	sc.once.Do(func() { close(sc.entered) })
 	<-sc.release
-	return sc.Emulator.Execute(entry, maxCycles)
+	return sc.Emulator.ReadMemory(addr, n)
 }
 
 // TestBusyBackpressure: with a queue bound of 1 and a pinned worker,
@@ -257,18 +257,18 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Job 1: a blocking sync start pins the worker.
-	start := netproto.Packet{
-		Command: netproto.CmdStartSync,
-		Body:    netproto.StartReq{Entry: leon.DefaultLoadAddr}.Marshal(),
+	// Job 1: a blocking memory read pins the worker.
+	read := netproto.Packet{
+		Command: netproto.CmdReadMemory,
+		Body:    netproto.MemReq{Addr: leon.DefaultLoadAddr, Length: 4}.Marshal(),
 	}
-	if _, err := conn.Write(start.Marshal()); err != nil {
+	if _, err := conn.Write(read.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-sc.entered:
 	case <-time.After(2 * time.Second):
-		t.Fatal("worker never reached Execute")
+		t.Fatal("worker never reached ReadMemory")
 	}
 	// Job 2 fills the 1-slot queue; job 3 must bounce as busy.
 	status := netproto.Packet{Command: netproto.CmdStatus}.Marshal()

@@ -6,9 +6,9 @@
 // exact bytes the hardware would see.
 //
 // A Server is a node hosting one or more boards (platforms), mirroring
-// the four-port NID switch of Fig. 2. Datagrams carry a board id in
-// the v2 control header (board 0 keeps the wire-compatible v1 header);
-// the read loop only parses the header for routing and NEVER blocks on
+// the four-port NID switch of Fig. 2. Datagrams in the current dialect
+// carry a board id in the v3/v4 control header (the paper's v1 header
+// always addresses board 0); the read loop only parses the header for routing and NEVER blocks on
 // execution — each board has a bounded FIFO command queue drained by
 // its own worker goroutine, so a long run on one board cannot delay a
 // status poll on another, and a full queue applies backpressure with a
@@ -102,7 +102,7 @@ type job struct {
 	// queue-wait hop of the exchange trace); zero when tracing is off.
 	qspan tracing.SpanHandle
 	// traceID is the exchange's resolved trace id — the one the packet
-	// carried, or a server-assigned id for v1–v3 clients — passed down
+	// carried, or a server-assigned id when it carried none — passed down
 	// so the platform's spans land in the same trace.
 	traceID uint64
 }
@@ -220,7 +220,7 @@ func newNodeConn(conn net.PacketConn, clk sim.Clock, queueCap int, platforms ...
 // read loop records a queue-wait span per routed datagram and every
 // board platform records its handle spans into the same collector, so
 // one export shows the full server-side timeline of an exchange.
-// Requests that carry no trace id (v1–v3 clients) get a server-
+// Requests that carry no trace id (v1 and v3 headers) get a server-
 // assigned one at dispatch time. Call before Serve.
 func (s *Server) EnableTracing(col *tracing.Collector) {
 	s.tracer = col
@@ -557,14 +557,12 @@ func (s *Server) tryPark(p *fpx.Platform, j job, canPark, canParkReconfig bool, 
 	var kind string
 	switch pkt.Command {
 	case netproto.CmdWaitResult:
-		// A platform emulating a pre-rev-5 command set rejects the
-		// command outright — never park what dispatch will refuse.
-		if !canPark || p.CmdRev() < 5 {
+		if !canPark {
 			return parkedWait{}, false
 		}
 		kind = waitKindResult
 	case netproto.CmdWaitReconfig:
-		if !canParkReconfig || p.CmdRev() < 6 {
+		if !canParkReconfig {
 			return parkedWait{}, false
 		}
 		kind = waitKindReconfig
