@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"liquidarch/internal/ahbadapter"
@@ -27,29 +28,53 @@ import (
 	"liquidarch/internal/synth"
 )
 
+// throughputICaches are the instruction caches the design-space sweep
+// visits. Block dispatch runs out of resident lines of every one of
+// them; BenchmarkStepThroughput reports each side by side.
+var throughputICaches = []struct {
+	name string
+	cfg  cache.Config
+}{
+	{"i1k-dm", cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 1}},
+	{"i1k-2way", cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2}},
+	{"i4k-4way", cache.Config{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 4}},
+}
+
+// withICache is the default board with the given instruction cache.
+func withICache(icfg cache.Config) leon.Config {
+	cfg := leon.DefaultConfig()
+	cfg.ICache = icfg
+	return cfg
+}
+
 // BenchmarkStepThroughput measures the simulator's core metric:
 // host-nanoseconds per simulated instruction in the steady state (warm
 // I-cache, warm predecode cache, mixed ALU/load/store/branch work)
-// through the superblock dispatcher. It must report 0 allocs/op; the
-// sim-MIPS metric is the simulated million-instructions-per-second
-// rate the sweep wall-clock scales with. When the smoke gate is armed
-// (`make bench-smoke`) it also enforces the BENCH_throughput.json
-// regression bar and rewrites the JSON with the figures just measured.
+// through the superblock dispatcher, once per swept I-cache geometry.
+// It must report 0 allocs/op; the sim-MIPS metric is the simulated
+// million-instructions-per-second rate the sweep wall-clock scales
+// with. When the smoke gate is armed (`make bench-smoke`) it also
+// enforces the BENCH_throughput.json regression bar and rewrites the
+// JSON with the figures just measured.
 func BenchmarkStepThroughput(b *testing.B) {
-	soc, err := bench.ThroughputSoC(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	startInsts := soc.CPU.Stats().Instructions
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := bench.StepSteady(soc, uint64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	insts := soc.CPU.Stats().Instructions - startInsts
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(insts)/secs/1e6, "sim-MIPS")
+	for _, ic := range throughputICaches {
+		b.Run("icache="+ic.name, func(b *testing.B) {
+			soc, err := bench.ThroughputSoC(withICache(ic.cfg), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			startInsts := soc.CPU.Stats().Instructions
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := bench.StepSteady(soc, uint64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			insts := soc.CPU.Stats().Instructions - startInsts
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(insts)/secs/1e6, "sim-MIPS")
+			}
+		})
 	}
 	gateAndEmitThroughput(b)
 }
@@ -60,34 +85,54 @@ type benchThroughputJSON struct {
 	Data   bench.ThroughputRow `json:"data"`
 }
 
+// throughputSamples is how many ThroughputExperiment runs the gate
+// takes the median of: a single ~30 ms sample swings by half its value
+// on a busy host, the median of five far less.
+const throughputSamples = 5
+
+// medianThroughput runs the default-board throughput experiment
+// throughputSamples times and returns the run with the median ns/step.
+func medianThroughput(b *testing.B) bench.ThroughputRow {
+	rows := make([]bench.ThroughputRow, throughputSamples)
+	for i := range rows {
+		row, err := bench.ThroughputExperiment(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows[i] = row
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].NsPerStep < rows[j].NsPerStep })
+	return rows[len(rows)/2]
+}
+
 // gateAndEmitThroughput is the bench-smoke regression gate. When
 // LIQUID_BENCH_GATE=1 (set by `make bench-smoke`) it retimes the
 // 2M-step throughput experiment with internal timing — `-benchtime 1x`
-// makes b.N useless for gating — and fails the run if ns/step
-// regressed more than 10% over the checked-in BENCH_throughput.json,
-// or if the block-dispatch path allocates at all. When
-// LIQUID_BENCH_JSON names a path it rewrites that file with the
-// figures just measured, keeping the checked-in baseline a tool
-// artifact rather than a transcription.
+// makes b.N useless for gating — takes the median of
+// throughputSamples runs, and fails if that regressed more than 10%
+// over the checked-in BENCH_throughput.json, or if the block-dispatch
+// path allocates at all on any swept I-cache. When LIQUID_BENCH_JSON
+// names a path it rewrites that file with the median run, keeping the
+// checked-in baseline a tool artifact rather than a transcription.
 func gateAndEmitThroughput(b *testing.B) {
 	if os.Getenv("LIQUID_BENCH_GATE") == "" {
 		return
 	}
-	soc, err := bench.ThroughputSoC(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(64, func() {
-		if _, err := bench.StepSteady(soc, 4096); err != nil {
+	for _, ic := range throughputICaches {
+		soc, err := bench.ThroughputSoC(withICache(ic.cfg), 0)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}); allocs != 0 {
-		b.Fatalf("bench gate: block-dispatch path allocates (%.1f allocs per 4096-step batch); must be 0", allocs)
+		if allocs := testing.AllocsPerRun(64, func() {
+			if _, err := bench.StepSteady(soc, 4096); err != nil {
+				b.Fatal(err)
+			}
+		}); allocs != 0 {
+			b.Fatalf("bench gate: block-dispatch path allocates on %s (%.1f allocs per 4096-step batch); must be 0",
+				ic.name, allocs)
+		}
 	}
-	row, err := bench.ThroughputExperiment(0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	row := medianThroughput(b)
 	path := os.Getenv("LIQUID_BENCH_BASELINE")
 	if path == "" {
 		path = "BENCH_throughput.json"
@@ -103,8 +148,8 @@ func gateAndEmitThroughput(b *testing.B) {
 			b.Fatalf("bench gate: %.2f ns/step exceeds ceiling %.2f (checked-in %.2f +10%%)",
 				row.NsPerStep, ceiling, base.Data.NsPerStep)
 		}
-		b.Logf("bench gate: %.2f ns/step (%.2f sim-MIPS) within ceiling %.2f, 0 allocs",
-			row.NsPerStep, row.SimMIPS, base.Data.NsPerStep*1.10)
+		b.Logf("bench gate: median of %d: %.2f ns/step (%.2f sim-MIPS) within ceiling %.2f, 0 allocs",
+			throughputSamples, row.NsPerStep, row.SimMIPS, base.Data.NsPerStep*1.10)
 	}
 	out := os.Getenv("LIQUID_BENCH_JSON")
 	if out == "" {

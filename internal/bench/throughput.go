@@ -40,12 +40,12 @@ type ThroughputRow struct {
 	SimMIPS   float64 // simulated million instructions per host second
 }
 
-// ThroughputSoC boots a default SoC (honoring the event-horizon
-// quantum cap, 0 = uncapped), hands off into StepKernel and warms the
-// caches, the predecode state and the superblock dispatcher, leaving
-// the machine ready for steady-state stepping.
-func ThroughputSoC(quantum uint64) (*leon.SoC, error) {
-	soc, err := leon.NewWithOptions(leon.DefaultConfig(), nil, leon.Options{Quantum: quantum})
+// ThroughputSoC boots a SoC of the given configuration (honoring the
+// event-horizon quantum cap, 0 = uncapped), hands off into StepKernel
+// and warms the caches, the predecode state and the superblock
+// dispatcher, leaving the machine ready for steady-state stepping.
+func ThroughputSoC(cfg leon.Config, quantum uint64) (*leon.SoC, error) {
+	soc, err := leon.NewWithOptions(cfg, nil, leon.Options{Quantum: quantum})
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func ThroughputExperimentQuantum(steps, quantum uint64) (ThroughputRow, error) {
 	if steps == 0 {
 		steps = 2_000_000
 	}
-	soc, err := ThroughputSoC(quantum)
+	soc, err := ThroughputSoC(leon.DefaultConfig(), quantum)
 	if err != nil {
 		return ThroughputRow{}, err
 	}

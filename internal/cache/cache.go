@@ -159,6 +159,10 @@ type Cache struct {
 	rnd     uint32 // xorshift state
 	enabled bool
 
+	// peeked is the associative line PeekLine last exposed: the line
+	// AddFetchHits charges its LRU timestamp to. Unused when direct.
+	peeked *line
+
 	stats Stats
 }
 
@@ -372,10 +376,10 @@ func (c *Cache) FetchWord(addr uint32) (word uint32, cycles int, hit bool, err e
 	}
 	set := (addr >> c.lineShift) & c.setMask
 	tag := addr >> c.setShift
-	// Unrolled first-way probe on the flat line array: instruction
-	// caches are direct-mapped in every configuration the paper
-	// sweeps, so the common case is one compare with no LRU
-	// bookkeeping (a single way has no replacement decision to bias).
+	// Unrolled first-way probe on the flat line array: the common
+	// case is the direct-mapped one compare with no LRU bookkeeping (a
+	// single way has no replacement decision to bias). An associative
+	// hit moves the line's LRU timestamp: tick++, age = tick.
 	l0 := &c.all[set*c.assoc]
 	if l0.valid && l0.tag == tag {
 		c.stats.Hits++
@@ -404,33 +408,81 @@ func (c *Cache) FetchWord(addr uint32) (word uint32, cycles int, hit bool, err e
 	return getBE32(c.sets[set][w].data[addr&c.offMask&^3:]), 1 + n, false, nil
 }
 
-// PeekLine returns the resident line containing addr for the
-// superblock dispatcher, or ok=false when the fast path does not apply.
-// It succeeds only for an enabled, direct-mapped cache with the line
-// resident, because in exactly that regime FetchWord's per-word hit is
-// pure: 1 cycle, one Hits count, and — direct-mapped — no LRU tick or
-// age update. The caller executes straight-line instructions out of the
-// returned line and settles the per-word accounting with AddFetchHits;
-// any other configuration (miss, disabled, associative) must go through
-// FetchWord so fills, stats and replacement state stay exact.
+// PeekLine is the superblock dispatcher's line-crossing call. It first
+// credits settle instruction fetches served out of the line the
+// previous PeekLine exposed (AddFetchHits), then returns the resident
+// line containing addr, or ok=false when the cache is disabled or the
+// line is not resident. PeekLine itself has no side effects on the
+// replacement state: FetchWord's hit path changes nothing but Hits
+// and, for an associative cache, the LRU timestamp (tick++, age =
+// tick — hits never touch the round-robin pointer or the random
+// state). So the caller can execute instructions out of the returned
+// line and settle them per line, before the next PeekLine and at block
+// exit: n hits on one line leave tick advanced by n and that line's
+// age equal to tick, exactly as n FetchWord hits in a row would. A
+// miss must go through FetchWord so the fill stays exact.
 //
 // The returned slice aliases the live line storage: it is valid only
 // until the next cache operation and must not be written through.
-func (c *Cache) PeekLine(addr uint32) ([]byte, bool) {
-	if !c.enabled || !c.direct {
+func (c *Cache) PeekLine(addr uint32, settle uint64) ([]byte, bool) {
+	if settle > 0 {
+		c.AddFetchHits(settle)
+	}
+	if !c.enabled {
 		return nil, false
 	}
-	l := &c.all[(addr>>c.lineShift)&c.setMask]
-	if !l.valid || l.tag != addr>>c.setShift {
-		return nil, false
+	set := (addr >> c.lineShift) & c.setMask
+	tag := addr >> c.setShift
+	if c.direct {
+		l := &c.all[set]
+		if !l.valid || l.tag != tag {
+			return nil, false
+		}
+		return l.data, true
 	}
-	return l.data, true
+	ways := c.sets[set]
+	for w := range ways {
+		if l := &ways[w]; l.valid && l.tag == tag {
+			c.peeked = l
+			return l.data, true
+		}
+	}
+	return nil, false
 }
 
-// AddFetchHits credits n instruction fetches served out of a line
-// obtained with PeekLine — the bulk form of FetchWord's per-hit
-// Hits++ so cache statistics stay identical under block dispatch.
-func (c *Cache) AddFetchHits(n uint64) { c.stats.Hits += n }
+// AddFetchHits credits n > 0 instruction fetches served out of the line
+// the last PeekLine exposed — the bulk form of n FetchWord hits on that
+// line, so cache statistics and LRU state stay identical under block
+// dispatch.
+func (c *Cache) AddFetchHits(n uint64) {
+	c.stats.Hits += n
+	if !c.direct {
+		c.tick += n
+		c.peeked.age = c.tick
+	}
+}
+
+// RepeatFetchHits credits m more repetitions of the loop iteration whose
+// perIter instruction fetches, all resident hits and the cache's only
+// accesses, have just been settled: the bulk form of the spin
+// fast-forward. For an associative cache the lines that iteration
+// touched are exactly those with age > tick-perIter; each of them, and
+// tick, moves forward by m·perIter, where m more emulated iterations
+// would have left them.
+func (c *Cache) RepeatFetchHits(perIter, m uint64) {
+	n := perIter * m
+	c.stats.Hits += n
+	if c.direct {
+		return
+	}
+	floor := c.tick - perIter
+	for i := range c.all {
+		if l := &c.all[i]; l.age > floor {
+			l.age += n
+		}
+	}
+	c.tick += n
+}
 
 // FetchCounts returns the running read hit and miss counters. The spin
 // fast-forward probe brackets a loop iteration with it: a zero miss

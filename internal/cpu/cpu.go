@@ -66,16 +66,24 @@ type IFetcher interface {
 	FetchWord(addr uint32) (word uint32, cycles int, hit bool, err error)
 }
 
-// LineFetcher extends IFetcher with the superblock dispatch surface:
-// PeekLine exposes a resident instruction-cache line when (and only
-// when) per-word fetches from it are pure 1-cycle hits with no
-// replacement-state side effects, and AddFetchHits settles the bulk hit
-// accounting afterwards. cache.Cache implements it; StepN falls back to
-// the single-step interpreter when the fetch path doesn't.
+// LineFetcher extends IFetcher with the superblock dispatch surface.
+// PeekLine(addr, settle) first settles settle fetches served out of the
+// line it exposed last, then exposes the resident instruction-cache
+// line containing addr. Per-word fetches out of that line are 1-cycle
+// hits whose only side effects are Hits++ and, for an associative
+// cache, the LRU timestamp (tick++, age = tick); they touch no other
+// replacement state. So the dispatcher settles them per line — with
+// the next PeekLine and with AddFetchHits at block exit — and the
+// counters and every line's age land as the per-fetch path lands
+// them. RepeatFetchHits is the spin fast-forward's bulk form: m more
+// repetitions of an iteration of perIter resident hits just settled.
+// cache.Cache implements it; StepN falls back to the single-step
+// interpreter when the fetch path doesn't.
 type LineFetcher interface {
 	IFetcher
-	PeekLine(addr uint32) ([]byte, bool)
+	PeekLine(addr uint32, settle uint64) ([]byte, bool)
 	AddFetchHits(n uint64)
+	RepeatFetchHits(perIter, m uint64)
 	FetchCounts() (hits, misses uint64)
 }
 

@@ -27,12 +27,18 @@ import (
 // indistinguishable from probing every step.
 //
 // Why per-word fetch from PeekLine is exact: PeekLine succeeds only for
-// an enabled direct-mapped cache with the line resident, the one regime
-// where FetchWord's hit path is a pure 1-cycle access whose only side
-// effect is Hits++ — reproduced here as one cycle per dispatched word
-// plus a single AddFetchHits at block exit. Any other fetch (miss,
-// disabled or associative cache, unaligned PC, pending annul) falls
-// back to Step itself.
+// an enabled cache with the line resident, the regime where FetchWord's
+// hit path is a 1-cycle access whose only side effects are Hits++ and,
+// in an associative cache, the LRU timestamp (tick++, age = tick);
+// hits never touch the round-robin pointer or the random state. A
+// block runs sequentially forward, so it visits each line once, in
+// order, and nothing else reaches the I-cache meanwhile. Settling per
+// line — n hits on a line advance tick by n and leave that line's age
+// at tick — is therefore exactly n single steps: the dispatcher counts
+// one cycle per dispatched word and settles the line's hits with the
+// PeekLine that crosses into the next line and with AddFetchHits at
+// block exit. Any other fetch (miss, disabled cache, unaligned PC,
+// pending annul) falls back to Step itself.
 
 // spinBadSize is the direct-mapped blacklist of loop heads whose
 // fast-forward probe failed (ordinary working loops: they mutate state
@@ -140,10 +146,10 @@ func (c *CPU) StepN(maxSteps int, cycleLimit uint64, stopPC uint32) (int, error)
 		}
 
 		head := c.pc
-		line, ok := c.lfetch.PeekLine(head)
+		line, ok := c.lfetch.PeekLine(head, 0)
 		if !ok {
-			// Miss or non-direct configuration: Step performs the
-			// fill (or bus fetch) with exact accounting.
+			// Miss or disabled cache: Step performs the fill (or bus
+			// fetch) with exact accounting.
 			if err := c.Step(); err != nil {
 				return steps, err
 			}
@@ -197,20 +203,24 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 	lineBase := head &^ lineMask
 	// The step counter, the instruction counter and the fetch-hit
 	// counter all advance by exactly 1 per dispatched instruction, so
-	// the loop keeps a single local count and settles all three at
+	// the loop keeps a single local count and settles the first two at
 	// block exit (nothing inside a block reads them: exec/trap hooks
 	// are gated off at block entry, and the spin probe samples them
-	// between blocks). The lone exception is a decode failure, whose
-	// step consumes a fetch hit but no instruction.
+	// between blocks). Fetch hits are settled per line: the k-settled
+	// served out of the current line go with the PeekLine that leaves
+	// it, the rest at block exit. The lone exception is a decode
+	// failure, whose step consumes a fetch hit but no instruction.
 	kmax := maxSteps - steps
 	k := 0
-	extra := 0 // decode-failure step: 1 step, 1 fetch hit, no instruction
+	settled := 0 // fetch hits already credited to earlier lines
+	extra := 0   // decode-failure step: 1 step, 1 fetch hit, no instruction
 	var fail error
 	slotPending := false // previous instruction was a kindCTI: its delay slot runs next, then the block ends
 	for k < kmax && c.Cycles < cycleLimit && c.MemEvents&MemEventDevice == 0 &&
 		c.pc != stopPC && !c.annul && c.pc&3 == 0 {
 		if c.pc&^lineMask != lineBase {
-			next, ok := c.lfetch.PeekLine(c.pc)
+			next, ok := c.lfetch.PeekLine(c.pc, uint64(k-settled))
+			settled = k
 			if !ok {
 				break // miss: Step performs the fill with exact accounting
 			}
@@ -263,7 +273,7 @@ func (c *CPU) dispatchBlock(line []byte, head uint32, maxSteps int, cycleLimit u
 		}
 	}
 	c.stats.Instructions += uint64(k)
-	if hits := uint64(k + extra); hits > 0 {
+	if hits := uint64(k + extra - settled); hits > 0 {
 		c.lfetch.AddFetchHits(hits)
 	}
 	return steps + k + extra, fail
@@ -329,8 +339,10 @@ func (c *CPU) spinQualify(maxSteps int, cycleLimit uint64, steps int) uint64 {
 // cycle counter, the statistics counters a pure iteration can move,
 // and the fetch-hit accounting all advance by m times their measured
 // per-iteration delta, leaving state exactly as m emulated iterations
-// would have left it. Registers need no update — the iteration was
-// qualified as a fixed point.
+// would have left it. The I-cache's LRU state moves with the hits:
+// RepeatFetchHits shifts every line the iteration touched, and the
+// tick, by m times the per-iteration hits. Registers need no update —
+// the iteration was qualified as a fixed point.
 func (c *CPU) spinForward(m uint64, steps int) int {
 	s := &c.spin
 	d := statsDelta(c.stats, s.stats)
@@ -342,7 +354,7 @@ func (c *CPU) spinForward(m uint64, steps int) int {
 	c.stats.Annulled += m * d.Annulled
 	hits, _ := c.lfetch.FetchCounts()
 	if dh := hits - s.hits; dh > 0 {
-		c.lfetch.AddFetchHits(m * dh)
+		c.lfetch.RepeatFetchHits(dh, m)
 	}
 	return steps + int(m)*(steps-s.steps)
 }

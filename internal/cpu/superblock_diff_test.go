@@ -40,7 +40,8 @@ func (m *lineFlat) FetchWord(addr uint32) (uint32, int, bool, error) {
 	return binary.BigEndian.Uint32(m.data[addr:]), 1, true, nil
 }
 
-func (m *lineFlat) PeekLine(addr uint32) ([]byte, bool) {
+func (m *lineFlat) PeekLine(addr uint32, settle uint64) ([]byte, bool) {
+	m.hits += settle
 	base := int(addr) &^ (lineFlatBytes - 1)
 	if base+lineFlatBytes > len(m.data) {
 		return nil, false
@@ -48,8 +49,9 @@ func (m *lineFlat) PeekLine(addr uint32) ([]byte, bool) {
 	return m.data[base : base+lineFlatBytes], true
 }
 
-func (m *lineFlat) AddFetchHits(n uint64)         { m.hits += n }
-func (m *lineFlat) FetchCounts() (uint64, uint64) { return m.hits, m.misses }
+func (m *lineFlat) AddFetchHits(n uint64)             { m.hits += n }
+func (m *lineFlat) RepeatFetchHits(perIter, n uint64) { m.hits += perIter * n }
+func (m *lineFlat) FetchCounts() (uint64, uint64)     { return m.hits, m.misses }
 
 const noStopPC = ^uint32(0) // unaligned: never matches a fetch PC
 

@@ -3,6 +3,8 @@ package leon
 import (
 	"fmt"
 	"testing"
+
+	"liquidarch/internal/cache"
 )
 
 // Differential tests for event-horizon stepping: SoC.StepN — horizon
@@ -11,7 +13,27 @@ import (
 // loop), for every quantum, including timer underflows, interrupt
 // delivery and the boot ROM's poll-loop fast-forward.
 
-// socDiff compares all CPU-visible state of two systems.
+// horizonICaches are the instruction caches the design-space sweep
+// visits: block dispatch runs out of resident lines of each of them, so
+// the differential tests run on every one.
+var horizonICaches = []struct {
+	name string
+	cfg  cache.Config
+}{
+	{"i1k-dm", cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 1}},
+	{"i1k-2way", cache.Config{SizeBytes: 1 << 10, LineBytes: 32, Assoc: 2}},
+	{"i4k-4way", cache.Config{SizeBytes: 4 << 10, LineBytes: 32, Assoc: 4}},
+}
+
+// withICache is the default SoC configuration with the given I-cache.
+func withICache(icfg cache.Config) Config {
+	cfg := DefaultConfig()
+	cfg.ICache = icfg
+	return cfg
+}
+
+// socDiff compares all CPU-visible state of two systems and the
+// statistics of both caches.
 func socDiff(a, b *SoC) string {
 	ac, bc := a.CPU, b.CPU
 	if ac.PC() != bc.PC() || ac.NPC() != bc.NPC() {
@@ -25,6 +47,12 @@ func socDiff(a, b *SoC) string {
 	}
 	if ac.Stats() != bc.Stats() {
 		return fmt.Sprintf("stats %+v vs %+v", ac.Stats(), bc.Stats())
+	}
+	if a.ICache.Stats() != b.ICache.Stats() {
+		return fmt.Sprintf("icache stats %+v vs %+v", a.ICache.Stats(), b.ICache.Stats())
+	}
+	if a.DCache.Stats() != b.DCache.Stats() {
+		return fmt.Sprintf("dcache stats %+v vs %+v", a.DCache.Stats(), b.DCache.Stats())
 	}
 	return ""
 }
@@ -65,57 +93,68 @@ func buildSystemQuantum(t *testing.T, cfg Config, quantum uint64) *Controller {
 
 // TestHorizonTimerBitIdentical runs the timer-interrupt program on a
 // per-step reference machine and on horizon-batched machines at a
-// sweep of quanta. Results, cycle counts, interrupt counts and all
-// CPU state must match bit for bit — the horizon must fire every
-// underflow at exactly the instruction boundary the per-step
-// interpreter fired it.
+// sweep of quanta, for each swept I-cache. Results, cycle counts,
+// interrupt counts, cache statistics and all CPU state must match bit
+// for bit — the horizon must fire every underflow at exactly the
+// instruction boundary the per-step interpreter fired it.
 func TestHorizonTimerBitIdentical(t *testing.T) {
 	obj := assembleProg(t, timerIRQProg)
 
-	// Reference: per-step interpreter all the way through the run.
-	ref := buildSystem(t, DefaultConfig(), nil)
-	if err := ref.LoadProgram(obj.Origin, obj.Code); err != nil {
-		t.Fatal(err)
+	// References: the per-step interpreter all the way through the run.
+	type reference struct {
+		ctrl *Controller
+		res  RunResult
 	}
-	if err := ref.Start(obj.Origin, 0); err != nil {
-		t.Fatal(err)
-	}
-	refSoC := ref.SoC()
-	for refSoC.CPU.PC() != ROMPollAddr {
-		if err := refSoC.Step(); err != nil {
-			t.Fatalf("reference step (pc=%#x): %v", refSoC.CPU.PC(), err)
+	refs := make([]reference, len(horizonICaches))
+	for i, ic := range horizonICaches {
+		ref := buildSystem(t, withICache(ic.cfg), nil)
+		if err := ref.LoadProgram(obj.Origin, obj.Code); err != nil {
+			t.Fatal(err)
 		}
-	}
-	refRes, err := ref.CollectResult() // already at the poll loop: finalizes only
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refSoC.CPU.Stats().Interrupts == 0 {
-		t.Fatal("reference run took no timer interrupts — test proves nothing")
+		if err := ref.Start(obj.Origin, 0); err != nil {
+			t.Fatal(err)
+		}
+		refSoC := ref.SoC()
+		for refSoC.CPU.PC() != ROMPollAddr {
+			if err := refSoC.Step(); err != nil {
+				t.Fatalf("%s reference step (pc=%#x): %v", ic.name, refSoC.CPU.PC(), err)
+			}
+		}
+		res, err := ref.CollectResult() // already at the poll loop: finalizes only
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refSoC.CPU.Stats().Interrupts == 0 {
+			t.Fatalf("%s reference run took no timer interrupts — test proves nothing", ic.name)
+		}
+		refs[i] = reference{ref, res}
 	}
 
 	for _, quantum := range []uint64{0, 1, 7, 64, 1024} {
 		quantum := quantum
 		t.Run(fmt.Sprintf("quantum%d", quantum), func(t *testing.T) {
-			ctrl := buildSystemQuantum(t, DefaultConfig(), quantum)
-			if err := ctrl.LoadProgram(obj.Origin, obj.Code); err != nil {
-				t.Fatal(err)
-			}
-			if err := ctrl.Start(obj.Origin, 0); err != nil {
-				t.Fatal(err)
-			}
-			res, err := ctrl.CollectResult()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != refRes {
-				t.Fatalf("result %+v vs reference %+v", res, refRes)
-			}
-			if d := socDiff(ctrl.SoC(), refSoC); d != "" {
-				t.Fatalf("horizon run diverged from per-step reference: %s", d)
-			}
-			if got, want := ctrl.IRQCount(), ref.IRQCount(); got != want {
-				t.Fatalf("ROM stub IRQ count %d vs %d", got, want)
+			for i, ic := range horizonICaches {
+				ref := refs[i]
+				ctrl := buildSystemQuantum(t, withICache(ic.cfg), quantum)
+				if err := ctrl.LoadProgram(obj.Origin, obj.Code); err != nil {
+					t.Fatal(err)
+				}
+				if err := ctrl.Start(obj.Origin, 0); err != nil {
+					t.Fatal(err)
+				}
+				res, err := ctrl.CollectResult()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res != ref.res {
+					t.Fatalf("%s: result %+v vs reference %+v", ic.name, res, ref.res)
+				}
+				if d := socDiff(ctrl.SoC(), ref.ctrl.SoC()); d != "" {
+					t.Fatalf("%s: horizon run diverged from per-step reference: %s", ic.name, d)
+				}
+				if got, want := ctrl.IRQCount(), ref.ctrl.IRQCount(); got != want {
+					t.Fatalf("%s: ROM stub IRQ count %d vs %d", ic.name, got, want)
+				}
 			}
 		})
 	}
@@ -125,30 +164,33 @@ func TestHorizonTimerBitIdentical(t *testing.T) {
 // ROM's mailbox poll loop (Fig. 5) and lets them idle: the batched
 // machine fast-forwards the side-effect-free spin, the reference
 // emulates every iteration, and after the same number of steps the
-// cycle counters and all state must agree exactly — fast-forwarded
-// cycles are real simulated time.
+// cycle counters, cache statistics and all state must agree exactly —
+// fast-forwarded cycles are real simulated time — for each swept
+// I-cache.
 func TestHorizonPollIdleBitIdentical(t *testing.T) {
-	a := buildSystem(t, DefaultConfig(), nil).SoC()
-	b := buildSystem(t, DefaultConfig(), nil).SoC()
-	const steps = 200_000
-	const noStop = uint32(1) // never a fetch PC
-	n, err := a.StepN(steps, ^uint64(0), noStop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != steps {
-		t.Fatalf("StepN executed %d of %d idle steps", n, steps)
-	}
-	for i := 0; i < steps; i++ {
-		if err := b.Step(); err != nil {
-			t.Fatalf("reference step %d: %v", i, err)
+	for _, ic := range horizonICaches {
+		a := buildSystem(t, withICache(ic.cfg), nil).SoC()
+		b := buildSystem(t, withICache(ic.cfg), nil).SoC()
+		const steps = 200_000
+		const noStop = uint32(1) // never a fetch PC
+		n, err := a.StepN(steps, ^uint64(0), noStop)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if d := socDiff(a, b); d != "" {
-		t.Fatalf("idle fast-forward diverged: %s", d)
-	}
-	if pc := a.CPU.PC(); pc < ROMPollAddr || pc > ROMPollAddr+0x20 {
-		t.Fatalf("pc drifted to %#x while idle", pc)
+		if n != steps {
+			t.Fatalf("%s: StepN executed %d of %d idle steps", ic.name, n, steps)
+		}
+		for i := 0; i < steps; i++ {
+			if err := b.Step(); err != nil {
+				t.Fatalf("%s: reference step %d: %v", ic.name, i, err)
+			}
+		}
+		if d := socDiff(a, b); d != "" {
+			t.Fatalf("%s: idle fast-forward diverged: %s", ic.name, d)
+		}
+		if pc := a.CPU.PC(); pc < ROMPollAddr || pc > ROMPollAddr+0x20 {
+			t.Fatalf("%s: pc drifted to %#x while idle", ic.name, pc)
+		}
 	}
 }
 
