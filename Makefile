@@ -24,15 +24,19 @@ race-net:
 	$(GO) test -race -count=2 ./internal/leon/... ./internal/fpx/... ./internal/server/... ./internal/client/...
 
 # chaos runs the deterministic fault-injection suite under the race
-# detector: the injector/proxy unit tests, the seeded end-to-end storms
-# (TestControlPlaneUnderChaos / TestNodeUnderChaos: full sessions
-# through 20% loss + reorder + dup, bit-identical results required),
-# the scripted load-resumption and dedup regressions, and the client
-# retry/backoff tests, plus the two wire dialects (the current client
-# against a shipped node, and the paper's raw v1 datagrams).
+# detector: the fault core's unit tests (internal/sim) and its UDP
+# proxy's (internal/chaos), the seeded end-to-end storms
+# (TestControlPlaneUnderChaosSim / TestNodeUnderChaosSim on the
+# simulated fabric for every pinned seed, TestControlPlaneUnderChaos as
+# the real-UDP proxy smoke: full sessions through 20% loss + reorder +
+# dup, bit-identical results required), the fault-count cross-check
+# (retry spans == retries == injected drops), the scripted
+# load-resumption and dedup regressions, and the client retry/backoff
+# tests, plus the two wire dialects (the current client against a
+# shipped node, and the paper's raw v1 datagrams).
 chaos:
-	$(GO) test -race ./internal/chaos/...
-	$(GO) test -race -run 'Chaos|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed|Compat|PaperDialect' \
+	$(GO) test -race ./internal/sim/ ./internal/chaos/...
+	$(GO) test -race -run 'Chaos|RetrySpans|Retransmit|Resume|Suppressed|Dedup|Backoff|Jitter|WaitResult|WaitHold|HeldWait|LoadError|WrongBoard|StaleSeq|Windowed|Compat|PaperDialect' \
 		./internal/server/... ./internal/client/... ./internal/fpx/...
 
 # fuzz-smoke gives each native fuzz target a few seconds on top of the

@@ -2,6 +2,9 @@
 // §2.6 control plane: put it between liquidctl (or any client) and a
 // liquid-server, and it drops, duplicates, reorders, delays and
 // truncates control packets at seeded rates — the Internet, bottled.
+// The fault decisions are the in-memory simulation fabric's own
+// (sim.Link), so a storm soaked here replays the fault model the
+// simulated chaos tests run.
 // With a pinned -seed the injected fault sequence is reproducible, so
 // a soak failure can be replayed exactly.
 //
@@ -9,13 +12,13 @@
 //
 //	liquid-chaos -listen 127.0.0.1:5002 -target 127.0.0.1:5001 \
 //	    [-seed 1] [-drop 0.2] [-dup 0.05] [-reorder 0.1] \
-//	    [-truncate 0.01] [-delay 0.05 -delay-min 1ms -delay-max 20ms] \
+//	    [-truncate 0.01] [-latency 1ms] [-jitter 5ms] \
 //	    [-script 'up:load@3=drop,down:start=dup'] \
 //	    [-metrics-addr 127.0.0.1:9091]
 //
 // The random rates apply symmetrically to both directions unless
 // overridden per direction (-up-drop, -down-drop, and so on for every
-// fault). -script adds surgical rules on top (see internal/chaos
+// fault). -script adds surgical rules on top (see internal/sim
 // ParseScript for the grammar). With -metrics-addr the proxy exposes
 // its injection counters at /metrics and /statusz, plus /debug/traces:
 // when a packet carrying a v4 trace id is hit by a fault, the proxy
@@ -31,10 +34,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"liquidarch/internal/chaos"
 	"liquidarch/internal/cliutil"
 	"liquidarch/internal/metrics"
+	"liquidarch/internal/sim"
 	"liquidarch/internal/tracing"
 )
 
@@ -52,7 +57,7 @@ func main() {
 	down := symmetricFaults(fs, "down-", "server→client only (overrides the symmetric rate)")
 	fs.Parse(os.Args[1:])
 
-	rules, err := chaos.ParseScript(*script)
+	upRules, downRules, err := sim.ParseScript(*script)
 	if err != nil {
 		cliutil.Fatalf("liquid-chaos: %v", err)
 	}
@@ -65,10 +70,10 @@ func main() {
 		Seed:     *seed,
 		Up:       overlay(both.value(), up),
 		Down:     overlay(both.value(), down),
-		Script:   rules,
 		Registry: reg,
-		Tracer:   col,
 	}
+	cfg.Up.Script, cfg.Down.Script = upRules, downRules
+	cfg.Up.Tracer, cfg.Down.Tracer = col, col
 	proxy, err := chaos.NewProxy(*listen, *target, cfg)
 	if err != nil {
 		cliutil.Fatalf("liquid-chaos: %v", err)
@@ -89,48 +94,51 @@ func main() {
 		}()
 		fmt.Printf("liquid-chaos: telemetry on http://%s/metrics\n", ln.Addr())
 	}
-	fmt.Printf("liquid-chaos: %s → %s  seed=%d  up=%+v  down=%+v  rules=%d\n",
-		proxy.Addr(), *target, *seed, cfg.Up, cfg.Down, len(rules))
+	fmt.Printf("liquid-chaos: %s → %s  seed=%d  up={%s}  down={%s}  rules=%d\n",
+		proxy.Addr(), *target, *seed, rates(cfg.Up), rates(cfg.Down), len(upRules)+len(downRules))
 	if err := proxy.Serve(); err != nil {
 		cliutil.Fatalf("liquid-chaos: %v", err)
 	}
 }
 
+// rates renders one direction's random fault mix for the banner.
+func rates(p sim.LinkParams) string {
+	return fmt.Sprintf("drop=%g dup=%g reorder=%g truncate=%g latency=%v jitter=%v",
+		p.Drop, p.Dup, p.Reorder, p.Truncate, p.Latency, p.Jitter)
+}
+
 // faultFlags holds one direction's flag set; nil-valued flags fall
 // back to the symmetric rate.
 type faultFlags struct {
-	drop, dup, reorder, truncate, delay *float64
-	dmin, dmax                          *string
-	set                                 map[string]bool
-	fs                                  *flag.FlagSet
-	prefix                              string
+	drop, dup, reorder, truncate *float64
+	latency, jitter              *time.Duration
+	set                          map[string]bool
+	fs                           *flag.FlagSet
+	prefix                       string
 }
 
-// symmetricFaults registers one direction's fault-rate flags.
+// symmetricFaults registers one direction's fault flags.
 func symmetricFaults(fs *flag.FlagSet, prefix, scope string) *faultFlags {
 	f := &faultFlags{fs: fs, prefix: prefix}
 	f.drop = fs.Float64(prefix+"drop", 0, "drop probability, "+scope)
 	f.dup = fs.Float64(prefix+"dup", 0, "duplicate probability, "+scope)
 	f.reorder = fs.Float64(prefix+"reorder", 0, "reorder probability, "+scope)
 	f.truncate = fs.Float64(prefix+"truncate", 0, "truncate probability, "+scope)
-	f.delay = fs.Float64(prefix+"delay", 0, "delay probability, "+scope)
-	f.dmin = fs.String(prefix+"delay-min", "1ms", "minimum injected delay, "+scope)
-	f.dmax = fs.String(prefix+"delay-max", "20ms", "maximum injected delay, "+scope)
+	f.latency = fs.Duration(prefix+"latency", 0, "delay added to every relayed packet, "+scope)
+	f.jitter = fs.Duration(prefix+"jitter", 0, "extra random delay in [0, jitter) per packet, "+scope)
 	return f
 }
 
-// value materializes the direction's Faults.
-func (f *faultFlags) value() chaos.Faults {
-	out := chaos.Faults{
+// value materializes the direction's LinkParams.
+func (f *faultFlags) value() sim.LinkParams {
+	return sim.LinkParams{
 		Drop:     *f.drop,
 		Dup:      *f.dup,
 		Reorder:  *f.reorder,
 		Truncate: *f.truncate,
-		Delay:    *f.delay,
+		Latency:  *f.latency,
+		Jitter:   *f.jitter,
 	}
-	out.DelayMin = cliutil.MustDuration(*f.dmin)
-	out.DelayMax = cliutil.MustDuration(*f.dmax)
-	return out
 }
 
 // visited reports whether any flag with this prefix+name was set
@@ -145,7 +153,7 @@ func (f *faultFlags) visited(name string) bool {
 
 // overlay starts from the symmetric rates and applies any per-direction
 // overrides that were set explicitly.
-func overlay(base chaos.Faults, dir *faultFlags) chaos.Faults {
+func overlay(base sim.LinkParams, dir *faultFlags) sim.LinkParams {
 	out := base
 	if dir.visited("drop") {
 		out.Drop = *dir.drop
@@ -159,14 +167,11 @@ func overlay(base chaos.Faults, dir *faultFlags) chaos.Faults {
 	if dir.visited("truncate") {
 		out.Truncate = *dir.truncate
 	}
-	if dir.visited("delay") {
-		out.Delay = *dir.delay
+	if dir.visited("latency") {
+		out.Latency = *dir.latency
 	}
-	if dir.visited("delay-min") {
-		out.DelayMin = cliutil.MustDuration(*dir.dmin)
-	}
-	if dir.visited("delay-max") {
-		out.DelayMax = cliutil.MustDuration(*dir.dmax)
+	if dir.visited("jitter") {
+		out.Jitter = *dir.jitter
 	}
 	return out
 }

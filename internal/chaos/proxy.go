@@ -1,3 +1,19 @@
+// Package chaos is the UDP transport of the platform's one fault core.
+// The paper's control plane drives LEON boards over the open Internet
+// via UDP (§2.6) — a transport that drops, duplicates, reorders,
+// delays and truncates — and Proxy reproduces exactly those faults on
+// demand, from a pinned seed, between a real client and a real server
+// (integration tests, and the liquid-chaos command for soaking a
+// deployment). The fault decisions themselves are sim.Link's, the same
+// engine the in-memory fabric (sim.Network) runs, so one seed means
+// one fault model on either transport.
+//
+// Determinism: each direction is one sim.Link, named "up" and "down",
+// seeded with Seed ^ fnv64a(name), drawn in packet-arrival order. With
+// a fixed seed and a serial packet stream the injected fault sequence
+// is bit-identical across runs; with concurrent clients the draw order
+// follows arrival order, so the aggregate rates still hold and every
+// injected fault is still counted in the metrics registry.
 package chaos
 
 import (
@@ -6,24 +22,85 @@ import (
 	"net"
 	"sync"
 
+	"liquidarch/internal/metrics"
 	"liquidarch/internal/sim"
 )
 
+// Config assembles a proxy: a seed, the fault parameters of the up
+// (client→server, requests) and down (server→client, responses)
+// links, and an optional metrics registry receiving the injection
+// counters.
+type Config struct {
+	Seed     int64
+	Up, Down sim.LinkParams
+	Registry *metrics.Registry // nil → uncounted (nil-safe instruments)
+}
+
+// direction is one half of the relay: its fault link and counters,
+// behind one mutex so decisions are drawn in arrival order.
+type direction struct {
+	mu       sync.Mutex
+	name     string
+	link     *sim.Link
+	packets  *metrics.Counter
+	injected *metrics.CounterVec
+}
+
+func newDirection(name string, seed int64, p sim.LinkParams, reg *metrics.Registry) *direction {
+	return &direction{
+		name:     name,
+		link:     sim.NewLink(name, seed, p),
+		packets:  reg.CounterVec("liquid_chaos_packets_total", "Packets entering the chaos layer, by direction.", "dir").With(name),
+		injected: reg.CounterVec("liquid_chaos_injected_total", "Faults injected by the chaos layer, by dir_event.", "event"),
+	}
+}
+
+// send runs one datagram through the link and counts the faults it
+// injected.
+func (d *direction) send(p []byte) []sim.Delivery {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	before := d.link.Stats()
+	out := d.link.Send(p)
+	after := d.link.Stats()
+	d.packets.Inc()
+	for _, f := range [...]struct {
+		event string
+		n     uint64
+	}{
+		{"drop", after.Dropped - before.Dropped},
+		{"dup", after.Duped - before.Duped},
+		{"reorder", after.Reordered - before.Reordered},
+		{"truncate", after.Truncated - before.Truncated},
+		{"delay", after.Delayed - before.Delayed},
+	} {
+		if f.n > 0 {
+			d.injected.With(d.name + "_" + f.event).Add(f.n)
+		}
+	}
+	return out
+}
+
+func (d *direction) flush() [][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.link.Flush()
+}
+
 // Proxy is a standalone UDP chaos relay: clients send control packets
 // to the proxy's listen address, the proxy forwards them to the target
-// server through the Up injector, and relays responses back through
-// the Down injector. One proxy serves any number of concurrent
-// clients, each over its own upstream socket so the server still sees
-// one source address per client.
+// server through the up link, and relays responses back through the
+// down link. One proxy serves any number of concurrent clients, each
+// over its own upstream socket so the server still sees one source
+// address per client.
 //
 // This is the same layer the liquid-chaos command runs between a real
 // liquidctl and a real liquid-server; tests embed it in-process.
 type Proxy struct {
 	listen *net.UDPConn
 	target *net.UDPAddr
-	up     *injector
-	down   *injector
-	clk    sim.Clock
+	up     *direction
+	down   *direction
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -61,12 +138,10 @@ func NewProxy(listenAddr, targetAddr string, cfg Config) (*Proxy, error) {
 	px := &Proxy{
 		listen:   conn,
 		target:   ta,
-		up:       newInjector(Up, cfg.Up, cfg.Script, cfg.Seed, cfg.Registry),
-		down:     newInjector(Down, cfg.Down, cfg.Script, cfg.Seed, cfg.Registry),
-		clk:      sim.Or(cfg.Clock),
+		up:       newDirection("up", cfg.Seed, cfg.Up, cfg.Registry),
+		down:     newDirection("down", cfg.Seed, cfg.Down, cfg.Registry),
 		sessions: make(map[string]*session),
 	}
-	px.up.tracer, px.down.tracer = cfg.Tracer, cfg.Tracer
 	return px, nil
 }
 
@@ -92,11 +167,7 @@ func (p *Proxy) Serve() error {
 		if serr != nil {
 			continue // cannot relay for this peer; drop like the network would
 		}
-		outs, later := p.up.apply(buf[:n])
-		for _, o := range outs {
-			s.out.Write(o) //nolint:errcheck // lossy by design
-		}
-		p.schedule(later, func(b []byte) { s.out.Write(b) }) //nolint:errcheck
+		p.relay(p.up.send(buf[:n]), func(b []byte) { s.out.Write(b) }) //nolint:errcheck // lossy by design
 	}
 	p.wg.Wait()
 	return err
@@ -124,8 +195,8 @@ func (p *Proxy) sessionFor(peer *net.UDPAddr) (*session, error) {
 	return s, nil
 }
 
-// downstream relays one client's responses back through the Down
-// injector.
+// downstream relays one client's responses back through the down
+// link.
 func (p *Proxy) downstream(s *session) {
 	defer p.wg.Done()
 	buf := make([]byte, 64<<10)
@@ -134,26 +205,26 @@ func (p *Proxy) downstream(s *session) {
 		if err != nil {
 			return
 		}
-		outs, later := p.down.apply(buf[:n])
-		for _, o := range outs {
-			p.listen.WriteToUDP(o, s.peer) //nolint:errcheck // lossy by design
-		}
-		p.schedule(later, func(b []byte) { p.listen.WriteToUDP(b, s.peer) }) //nolint:errcheck
+		p.relay(p.down.send(buf[:n]), func(b []byte) { p.listen.WriteToUDP(b, s.peer) }) //nolint:errcheck // lossy by design
 	}
 }
 
-// schedule delivers delayed packets via timers.
-func (p *Proxy) schedule(later []delayed, write func([]byte)) {
-	for _, d := range later {
-		d := d
+// relay writes a link's deliveries: undelayed ones now, the rest from
+// timers.
+func (p *Proxy) relay(out []sim.Delivery, write func([]byte)) {
+	for _, d := range out {
+		if d.After <= 0 {
+			write(d.Payload)
+			continue
+		}
 		p.wg.Add(1)
-		p.clk.AfterFunc(d.after, func() {
+		sim.Real.AfterFunc(d.After, func() {
 			defer p.wg.Done()
 			p.mu.Lock()
 			closed := p.closed
 			p.mu.Unlock()
 			if !closed {
-				write(d.payload)
+				write(d.Payload)
 			}
 		})
 	}
@@ -168,10 +239,14 @@ func (p *Proxy) Flush() {
 		sessions = append(sessions, s)
 	}
 	p.mu.Unlock()
-	if b := p.up.flush(); b != nil && len(sessions) > 0 {
+	up, down := p.up.flush(), p.down.flush()
+	if len(sessions) == 0 {
+		return
+	}
+	for _, b := range up {
 		sessions[0].out.Write(b) //nolint:errcheck
 	}
-	if b := p.down.flush(); b != nil && len(sessions) > 0 {
+	for _, b := range down {
 		p.listen.WriteToUDP(b, sessions[0].peer) //nolint:errcheck
 	}
 }

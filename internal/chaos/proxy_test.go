@@ -8,7 +8,24 @@ import (
 
 	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
+
+// pkt builds a marshalled control packet carrying cmd, so scripted
+// rules (which match on the command label) can see it.
+func pkt(cmd uint8, body ...byte) []byte {
+	return netproto.Packet{Command: cmd, Body: body}.Marshal()
+}
+
+// upScript parses s and returns its up rules.
+func upScript(t *testing.T, s string) []sim.Rule {
+	t.Helper()
+	up, _, err := sim.ParseScript(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return up
+}
 
 // echoServer runs a UDP server that echoes every datagram back with a
 // one-byte 0xEE prefix (so a test can tell request from response).
@@ -77,12 +94,8 @@ func TestProxyRelaysBothWays(t *testing.T) {
 
 func TestProxyScriptedUpDrop(t *testing.T) {
 	target := echoServer(t)
-	rules, err := ParseScript("up:status@1=drop")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := metrics.NewRegistry()
-	p := startProxy(t, target.String(), Config{Seed: 1, Script: rules, Registry: reg})
+	p := startProxy(t, target.String(), Config{Seed: 1, Up: sim.LinkParams{Script: upScript(t, "up:status@1=drop")}, Registry: reg})
 	client, err := net.DialUDP("udp", nil, p.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -115,11 +128,7 @@ func TestProxyScriptedUpDrop(t *testing.T) {
 
 func TestProxyDelayedDelivery(t *testing.T) {
 	target := echoServer(t)
-	rules, err := ParseScript("up:status=delay:30ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := startProxy(t, target.String(), Config{Seed: 1, Script: rules})
+	p := startProxy(t, target.String(), Config{Seed: 1, Up: sim.LinkParams{Script: upScript(t, "up:status=delay:30ms")}})
 	client, err := net.DialUDP("udp", nil, p.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +176,7 @@ func TestProxyConcurrentClients(t *testing.T) {
 
 func TestProxyFlushReleasesHeld(t *testing.T) {
 	target := echoServer(t)
-	rules, err := ParseScript("up:status@1=reorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := startProxy(t, target.String(), Config{Seed: 1, Script: rules})
+	p := startProxy(t, target.String(), Config{Seed: 1, Up: sim.LinkParams{Script: upScript(t, "up:status@1=reorder")}})
 	client, err := net.DialUDP("udp", nil, p.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +219,54 @@ func TestProxyCloseIdempotent(t *testing.T) {
 }
 
 func TestProxyRejectsBadFaults(t *testing.T) {
-	if _, err := NewProxy("127.0.0.1:0", "127.0.0.1:1", Config{Up: Faults{Drop: 2}}); err == nil {
+	if _, err := NewProxy("127.0.0.1:0", "127.0.0.1:1", Config{Up: sim.LinkParams{Drop: 2}}); err == nil {
 		t.Fatalf("NewProxy accepted drop=2")
 	}
-	if _, err := NewProxy("127.0.0.1:0", "127.0.0.1:1", Config{Down: Faults{Dup: -1}}); err == nil {
+	if _, err := NewProxy("127.0.0.1:0", "127.0.0.1:1", Config{Down: sim.LinkParams{Dup: -1}}); err == nil {
 		t.Fatalf("NewProxy accepted dup=-1")
+	}
+}
+
+// TestInjectionMetrics: every packet entering a direction is counted,
+// and every injected fault is counted under dir_event.
+func TestInjectionMetrics(t *testing.T) {
+	target := echoServer(t)
+	reg := metrics.NewRegistry()
+	p := startProxy(t, target.String(), Config{Seed: 1, Registry: reg,
+		Up: sim.LinkParams{Drop: 1, Script: upScript(t, "up:start=dup")}})
+	client, err := net.DialUDP("udp", nil, p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	if _, err := client.Write(pkt(netproto.CmdStatus)); err != nil { // random drop
+		t.Fatal(err)
+	}
+	if _, err := client.Write(pkt(netproto.CmdStartLEON)); err != nil { // scripted dup
+		t.Fatal(err)
+	}
+	// Both echoes of the duplicated start come back; the dropped
+	// status never does.
+	buf := make([]byte, 1024)
+	for i := 0; i < 2; i++ {
+		client.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("echo %d: %v", i, err)
+		}
+		if !bytes.Equal(buf[:n], append([]byte{0xEE}, pkt(netproto.CmdStartLEON)...)) {
+			t.Fatalf("echo %d = %x, want the start packet", i, buf[:n])
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter(`liquid_chaos_packets_total{dir="up"}`); got != 2 {
+		t.Fatalf("packets counter = %d, want 2", got)
+	}
+	if got := snap.Counter(`liquid_chaos_injected_total{event="up_drop"}`); got != 1 {
+		t.Fatalf("drop counter = %d, want 1", got)
+	}
+	if got := snap.Counter(`liquid_chaos_injected_total{event="up_dup"}`); got != 1 {
+		t.Fatalf("dup counter = %d, want 1", got)
 	}
 }

@@ -172,7 +172,7 @@ func (a *AsyncController) loop(ctrl *Controller) {
 			// yield costs the same ~3 µs either way, and
 			// TestStatusDuringLongRun went from 10 slow polls in 100
 			// runs to none.
-			time.Sleep(time.Nanosecond)
+			sim.Yield()
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"liquidarch/internal/chaos"
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
 
 // loadBenchDelay is the injected one-way transport latency for the
@@ -45,7 +46,7 @@ func BenchmarkLoadThroughput(b *testing.B) {
 	_, addr := startServer(b)
 	for _, w := range []int{1, 16} {
 		b.Run(fmt.Sprintf("window=%d", w), func(b *testing.B) {
-			lag := chaos.Faults{Delay: 1, DelayMin: loadBenchDelay, DelayMax: loadBenchDelay}
+			lag := sim.LinkParams{Latency: loadBenchDelay}
 			proxy := chaosProxy(b, addr, chaos.Config{Seed: 1, Up: lag, Down: lag})
 			c := dial(b, proxy.Addr().String())
 			c.Window = w

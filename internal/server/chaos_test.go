@@ -1,9 +1,7 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,27 +9,22 @@ import (
 	"liquidarch/internal/chaos"
 	"liquidarch/internal/client"
 	"liquidarch/internal/fpx"
-	"liquidarch/internal/leon"
 	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
 
 // chaosSeeds are the pinned fault-sequence seeds the CI suite replays.
-// Each seed produces one reproducible storm of drops, dups, reorders
-// and truncations; a failure under any of them can be replayed exactly
-// with `liquid-chaos -seed N`. The full matrix runs on the simulated
-// fabric (sim_chaos_test.go); the real-UDP tests below keep one smoke
-// seed each to prove the production socket path still survives a storm.
+// Each seed produces one reproducible storm of drops, dups and
+// reorders. The full matrix runs on the simulated fabric
+// (sim_chaos_test.go); the real-UDP tests below keep one smoke seed
+// each, through the chaos proxy, to prove the production socket path
+// still survives a storm (`liquid-chaos -seed N` replays one against a
+// real deployment).
 var chaosSeeds = []int64{1, 7, 42}
 
 // smokeSeeds is the real-UDP slice of the matrix.
 var smokeSeeds = chaosSeeds[:1]
-
-// stormFaults is the headline fault mix: 20% loss plus reordering and
-// duplication, applied independently in both directions.
-func stormFaults() chaos.Faults {
-	return chaos.Faults{Drop: 0.2, Reorder: 0.1, Dup: 0.1}
-}
 
 // chaosProxy starts a fault-injecting relay in front of addr, wired
 // for cleanup.
@@ -50,6 +43,17 @@ func chaosProxy(t testing.TB, addr string, cfg chaos.Config) *chaos.Proxy {
 		}
 	})
 	return p
+}
+
+// scripted is a proxy config that applies the fault script s (see
+// sim.ParseScript) and no random faults.
+func scripted(t testing.TB, s string) chaos.Config {
+	t.Helper()
+	up, down, err := sim.ParseScript(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaos.Config{Seed: 1, Up: sim.LinkParams{Script: up}, Down: sim.LinkParams{Script: down}}
 }
 
 // dialChaos dials through addr with the retry schedule tuned for a
@@ -108,10 +112,11 @@ func TestControlPlaneUnderChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, addr := startServer(t)
 			reg := metrics.NewRegistry()
+			storm := sim.LinkParams{Drop: 0.2, Reorder: 0.1, Dup: 0.1}
 			proxy := chaosProxy(t, addr, chaos.Config{
 				Seed:     seed,
-				Up:       stormFaults(),
-				Down:     stormFaults(),
+				Up:       storm,
+				Down:     storm,
 				Registry: reg,
 			})
 			c := dialChaos(t, proxy.Addr().String(), seed)
@@ -143,151 +148,6 @@ func TestControlPlaneUnderChaos(t *testing.T) {
 	}
 }
 
-// TestNodeUnderChaos is the deterministic soak: a 4-board node behind
-// the chaos relay, four concurrent clients each running the same
-// program on their own board, 20% loss + reorder + dup in both
-// directions. All four boards must report results bit-identical to
-// the clean baseline, for every pinned seed. Cross-session held-packet
-// releases make the relay occasionally misdeliver a datagram to the
-// wrong client, so this also soaks the seq/board response filtering.
-func TestNodeUnderChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in -short")
-	}
-	const boards = 4
-	iters := 100_000
-	if raceEnabled {
-		iters = 20_000
-	}
-	obj := assembleAt(t, countProg(iters))
-
-	// Clean-path baseline on a single board.
-	_, addr := startServer(t)
-	wantRep, wantHead := runCycle(t, dial(t, addr), obj)
-
-	for _, seed := range smokeSeeds {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			_, addr := startNode(t, boards)
-			proxy := chaosProxy(t, addr, chaos.Config{
-				Seed: seed,
-				Up:   stormFaults(),
-				Down: stormFaults(),
-			})
-
-			var wg sync.WaitGroup
-			reps := make([]netproto.RunReport, boards)
-			heads := make([][]byte, boards)
-			errs := make([]error, boards)
-			for b := 0; b < boards; b++ {
-				c := dialChaos(t, proxy.Addr().String(), seed+int64(b))
-				c.Board = uint8(b)
-				c.WaitTimeout = 60 * time.Second
-				wg.Add(1)
-				go func(b int, c *client.Client) {
-					defer wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							errs[b] = fmt.Errorf("panic: %v", r)
-						}
-					}()
-					if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {
-						errs[b] = fmt.Errorf("load: %w", err)
-						return
-					}
-					rep, err := c.Start(obj.Origin, 0)
-					if err != nil {
-						errs[b] = fmt.Errorf("start: %w", err)
-						return
-					}
-					reps[b] = rep
-					heads[b], errs[b] = c.ReadMemory(obj.Origin, 64)
-				}(b, c)
-			}
-			wg.Wait()
-			for b := 0; b < boards; b++ {
-				if errs[b] != nil {
-					t.Fatalf("board %d: %v", b, errs[b])
-				}
-				if reps[b] != wantRep {
-					t.Errorf("board %d report diverged:\n got %+v\nwant %+v", b, reps[b], wantRep)
-				}
-				if string(heads[b]) != string(wantHead) {
-					t.Errorf("board %d loaded image diverged", b)
-				}
-			}
-		})
-	}
-}
-
-// TestLoadInterruptedResumes is the resume acceptance test: a load
-// black-holed from chunk 4 onward fails with partial progress, and a
-// fresh client (a reconnect) finishes the load by resuming from the
-// server's advertised gap — never re-sending chunks the board already
-// holds. The server-side apply counter must equal the chunk total:
-// every chunk applied exactly once, across both attempts.
-func TestLoadInterruptedResumes(t *testing.T) {
-	platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-	srv, err := New(platform, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := serveNode(t, srv)
-
-	rules, err := chaos.ParseScript("up:load@4+=drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
-
-	img := make([]byte, 3*netproto.MaxChunkData+500) // 4 chunks
-	for i := range img {
-		img[i] = byte(i * 7)
-	}
-	chunks := len(netproto.ChunkImage(leon.DefaultLoadAddr, img))
-
-	// Attempt 1, through the black hole: chunks 1-3 are acked, chunk 4
-	// (and every retransmission of it) vanishes.
-	c1 := dial(t, proxy.Addr().String())
-	c1.Timeout = 50 * time.Millisecond
-	c1.Retries = 2
-	c1.SetSeed(1)
-	err = c1.LoadProgram(leon.DefaultLoadAddr, img)
-	var le *client.LoadError
-	if !errors.As(err, &le) {
-		t.Fatalf("interrupted load returned %v, want *LoadError", err)
-	}
-	if le.ChunksAcked != 3 || le.ChunksTotal != chunks {
-		t.Fatalf("partial progress = %d/%d, want 3/%d", le.ChunksAcked, le.ChunksTotal, chunks)
-	}
-	if !errors.Is(err, client.ErrBoardUnreachable) {
-		t.Fatalf("LoadError does not unwrap to ErrBoardUnreachable: %v", err)
-	}
-
-	// Attempt 2, clean path: the load resumes from chunk 4.
-	c2 := dial(t, addr)
-	if err := c2.LoadProgram(leon.DefaultLoadAddr, img); err != nil {
-		t.Fatalf("resumed load: %v", err)
-	}
-
-	snap := platform.Metrics().Snapshot()
-	if got := snap.Counters["liquid_fpx_load_chunks_applied_total"]; got != uint64(chunks) {
-		t.Errorf("chunks applied = %d, want exactly %d (no chunk applied twice)", got, chunks)
-	}
-	if snap.Counters["liquid_fpx_load_chunks_dup_total"] == 0 {
-		t.Error("resume probe not counted as a duplicate chunk")
-	}
-	if snap.Counters["liquid_fpx_loads_completed_total"] != 1 {
-		t.Error("load did not complete exactly once")
-	}
-	csnap := c2.Metrics().Snapshot()
-	if csnap.Counters["liquid_client_loads_resumed_total"] != 1 {
-		t.Error("client did not count the resume")
-	}
-	if got := csnap.Counters["liquid_client_load_chunks_skipped_total"]; got != 2 {
-		t.Errorf("client skipped %d chunks, want 2 (chunks 2-3 already held)", got)
-	}
-}
-
 // TestDuplicateResponsesSuppressed: with every status ack duplicated
 // by the relay, the stray copy left in the socket buffer is discarded
 // by the next exchange's seq filter instead of being mistaken for its
@@ -300,11 +160,7 @@ func TestDuplicateResponsesSuppressed(t *testing.T) {
 	}
 	addr := serveNode(t, srv)
 
-	rules, err := chaos.ParseScript("down:status=dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
+	proxy := chaosProxy(t, addr, scripted(t, "down:status=dup"))
 
 	c := dial(t, proxy.Addr().String())
 	for i := 0; i < 3; i++ {
@@ -329,11 +185,7 @@ func TestRetransmittedStartNotReapplied(t *testing.T) {
 	obj := assembleAt(t, countProg(iters))
 
 	srv, addr := startServer(t)
-	rules, err := chaos.ParseScript("up:start=dup, up:result=dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
+	proxy := chaosProxy(t, addr, scripted(t, "up:start=dup, up:result=dup"))
 	c := dial(t, proxy.Addr().String())
 
 	if err := c.LoadProgram(obj.Origin, obj.Code); err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"liquidarch/internal/leon"
 	"liquidarch/internal/netproto"
 	"liquidarch/internal/sim"
+	"liquidarch/internal/tracing"
 )
 
 // These are the simulated-fabric ports of the chaos acceptance tests:
@@ -20,8 +22,9 @@ import (
 // but the storm runs on sim.Network under a virtual clock, so every
 // retransmission timeout costs microseconds of real time instead of
 // milliseconds, and the whole pinned-seed matrix runs here. The real-UDP
-// originals in chaos_test.go / windowed_test.go keep one smoke seed each
-// to prove the production socket path still survives a storm.
+// TestControlPlaneUnderChaos and TestWindowedLoadUnderLoss keep one
+// smoke seed each to prove the production socket path and the chaos
+// proxy still survive a storm.
 
 // simStorm is the headline fault mix on the fabric: 20% loss plus
 // reordering and duplication, with sub-millisecond link latency so
@@ -64,16 +67,37 @@ func startSimNode(t testing.TB, w *sim.World, n int) net.Addr {
 	for i := range boards {
 		boards[i] = simBoard(t, w.Clock, [4]byte{10, 0, 0, byte(2 + i)})
 	}
+	return serveSimNode(t, w, nil, boards...)
+}
+
+// serveSimNode serves platforms as one node on the world's fabric until
+// cleanup, tracing it into col when col is non-nil, and returns the
+// node's fabric address.
+func serveSimNode(t testing.TB, w *sim.World, col *tracing.Collector, platforms ...*fpx.Platform) net.Addr {
+	t.Helper()
 	pc, err := w.Net.Listen("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewNodeConn(pc, w.Clock, boards...)
+	srv, err := NewNodeConn(pc, w.Clock, platforms...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if col != nil {
+		srv.EnableTracing(col)
+	}
 	serveNode(t, srv)
 	return pc.LocalAddr()
+}
+
+// simEmulator serves one emulated board (no LEON: instant runs) on the
+// world's fabric and returns it with the node's address.
+func simEmulator(t testing.TB, w *sim.World) (*fpx.Platform, net.Addr) {
+	t.Helper()
+	emu := fpx.NewEmulator()
+	emu.Clock = w.Clock
+	platform := fpx.New(emu, [4]byte{10, 0, 0, 2}, 5001)
+	return platform, serveSimNode(t, w, nil, platform)
 }
 
 // dialSim connects a client across the fabric with the chaos retry
@@ -355,5 +379,72 @@ func TestWindowedLoadUnderLossSim(t *testing.T) {
 				t.Errorf("chunk resends (%d) != retries (%d): a retransmission escaped the accounting", resends, retries)
 			}
 		})
+	}
+}
+
+// TestLoadInterruptedResumes is the resume acceptance test: a load
+// black-holed from chunk 4 onward fails with partial progress, and a
+// fresh client (a reconnect) finishes the load by resuming from the
+// server's advertised gap — never re-sending chunks the board already
+// holds. The server-side apply counter must equal the chunk total:
+// every chunk applied exactly once, across both attempts.
+func TestLoadInterruptedResumes(t *testing.T) {
+	w := sim.NewWorld(1)
+	t.Cleanup(w.Close)
+	platform, addr := simEmulator(t, w)
+
+	up, _, err := sim.ParseScript("up:load@4+=drop")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	img := make([]byte, 3*netproto.MaxChunkData+500) // 4 chunks
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	chunks := len(netproto.ChunkImage(leon.DefaultLoadAddr, img))
+
+	// Attempt 1, through the black hole: chunks 1-3 are acked, chunk 4
+	// (and every retransmission of it) vanishes.
+	c1, conn := dialSim(t, w, addr, 1, cleanLink())
+	blackHole := cleanLink()
+	blackHole.Script = up
+	w.Net.SetLink(conn.LocalAddr(), addr, blackHole)
+	c1.Timeout = 50 * time.Millisecond
+	c1.Retries = 2
+	err = c1.LoadProgram(leon.DefaultLoadAddr, img)
+	var le *client.LoadError
+	if !errors.As(err, &le) {
+		t.Fatalf("interrupted load returned %v, want *LoadError", err)
+	}
+	if le.ChunksAcked != 3 || le.ChunksTotal != chunks {
+		t.Fatalf("partial progress = %d/%d, want 3/%d", le.ChunksAcked, le.ChunksTotal, chunks)
+	}
+	if !errors.Is(err, client.ErrBoardUnreachable) {
+		t.Fatalf("LoadError does not unwrap to ErrBoardUnreachable: %v", err)
+	}
+
+	// Attempt 2, clean path: the load resumes from chunk 4.
+	c2, _ := dialSim(t, w, addr, 1, cleanLink())
+	if err := c2.LoadProgram(leon.DefaultLoadAddr, img); err != nil {
+		t.Fatalf("resumed load: %v", err)
+	}
+
+	snap := platform.Metrics().Snapshot()
+	if got := snap.Counters["liquid_fpx_load_chunks_applied_total"]; got != uint64(chunks) {
+		t.Errorf("chunks applied = %d, want exactly %d (no chunk applied twice)", got, chunks)
+	}
+	if snap.Counters["liquid_fpx_load_chunks_dup_total"] == 0 {
+		t.Error("resume probe not counted as a duplicate chunk")
+	}
+	if snap.Counters["liquid_fpx_loads_completed_total"] != 1 {
+		t.Error("load did not complete exactly once")
+	}
+	csnap := c2.Metrics().Snapshot()
+	if csnap.Counters["liquid_client_loads_resumed_total"] != 1 {
+		t.Error("client did not count the resume")
+	}
+	if got := csnap.Counters["liquid_client_load_chunks_skipped_total"]; got != 2 {
+		t.Errorf("client skipped %d chunks, want 2 (chunks 2-3 already held)", got)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"liquidarch/internal/chaos"
 	"liquidarch/internal/fpx"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 	"liquidarch/internal/tracing"
 )
 
@@ -48,12 +48,12 @@ func spanCounts(t *testing.T, data []byte) (map[string]int, map[string]string) {
 }
 
 // TestTracedExchangeUnderChaos is the tracing acceptance test: a full
-// traced session against a 2-board node behind the chaos relay (pinned
-// seed, 20% loss + reorder + dup both ways) produces one merged Chrome
-// timeline where the client's retries, the server's queue waits, the
-// board's run slices and the chaos layer's fault annotations all share
-// a single trace id — and the client's retry-span count equals its
-// retries metric.
+// traced session against a 2-board node behind a stormy fabric link
+// (pinned seed, 20% loss + reorder + dup both ways) produces one merged
+// Chrome timeline where the client's retries, the server's queue
+// waits, the board's run slices and the fault core's annotations all
+// share a single trace id — and the client's retry-span count equals
+// its retries metric.
 func TestTracedExchangeUnderChaos(t *testing.T) {
 	iters := 50_000
 	if raceEnabled || testing.Short() {
@@ -63,27 +63,17 @@ func TestTracedExchangeUnderChaos(t *testing.T) {
 	const seed = 42
 
 	// 2-board node, tracing enabled before the first datagram.
-	boards := []*fpx.Platform{
-		newBoard(t, [4]byte{10, 0, 0, 2}),
-		newBoard(t, [4]byte{10, 0, 0, 3}),
-	}
-	srv, err := NewNode("127.0.0.1:0", boards...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewWorld(seed)
+	t.Cleanup(w.Close)
 	serverCol := tracing.New("server")
-	srv.EnableTracing(serverCol)
-	addr := serveNode(t, srv)
+	addr := serveSimNode(t, w, serverCol,
+		simBoard(t, w.Clock, [4]byte{10, 0, 0, 2}),
+		simBoard(t, w.Clock, [4]byte{10, 0, 0, 3}))
 
 	chaosCol := tracing.New("chaos")
-	proxy := chaosProxy(t, addr, chaos.Config{
-		Seed:   seed,
-		Up:     stormFaults(),
-		Down:   stormFaults(),
-		Tracer: chaosCol,
-	})
-
-	c := dialChaos(t, proxy.Addr().String(), seed)
+	storm := simStorm()
+	storm.Tracer = chaosCol
+	c, _ := dialSim(t, w, addr, seed, storm)
 	c.Board = 1
 	clientCol := tracing.New("client")
 	c.Tracer = clientCol
@@ -104,9 +94,10 @@ func TestTracedExchangeUnderChaos(t *testing.T) {
 		t.Fatal("client never retried under 20% loss — test proved nothing")
 	}
 
-	// Give the board actor a beat to finish the run's trailing spans,
-	// then merge all three vantage points.
-	time.Sleep(50 * time.Millisecond)
+	// Let the world settle before merging the three vantage points: a
+	// virtual sleep returns only after every delivery and timer due
+	// before it has fired, on the virtual timeline.
+	w.Clock.Sleep(50 * time.Millisecond)
 	data, err := tracing.ChromeJSON(
 		clientCol.TakeTrace(c.TraceID),
 		serverCol.TakeTrace(c.TraceID),
@@ -145,7 +136,7 @@ func TestTracedExchangeUnderChaos(t *testing.T) {
 		}
 	}
 	if faults == 0 {
-		t.Error("no chaos fault annotations in the merged timeline")
+		t.Error("no fault annotations in the merged timeline")
 	}
 }
 
@@ -212,26 +203,19 @@ func TestFlightRecordServesFailedExchange(t *testing.T) {
 	}
 }
 
-// TestRetrySpansMatchRetriesMetric is the narrow chaos-harness check:
-// one traced status exchange at a time under 20% loss, for every pinned
-// seed — across the whole session the number of "retry" spans recorded
-// by the client equals its retries counter exactly.
+// TestRetrySpansMatchRetriesMetric is the fault-count cross-check:
+// one traced status exchange at a time under 20% loss each way, for
+// every pinned seed — across the whole session the number of "retry"
+// spans recorded by the client equals its retries counter, which
+// equals the drops the fabric injected on the client's two links (with
+// no reorder or dup, each lost datagram costs exactly one retry).
 func TestRetrySpansMatchRetriesMetric(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			platform := fpx.New(fpx.NewEmulator(), [4]byte{10, 0, 0, 2}, 5001)
-			srv, err := New(platform, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addr := serveNode(t, srv)
-			proxy := chaosProxy(t, addr, chaos.Config{
-				Seed: seed,
-				Up:   chaos.Faults{Drop: 0.2},
-				Down: chaos.Faults{Drop: 0.2},
-			})
-
-			c := dialChaos(t, proxy.Addr().String(), seed)
+			w := sim.NewWorld(seed)
+			t.Cleanup(w.Close)
+			_, addr := simEmulator(t, w)
+			c, conn := dialSim(t, w, addr, seed, sim.LinkParams{Drop: 0.2})
 			col := tracing.New("client")
 			c.Tracer = col
 			c.TraceID = col.NewTraceID()
@@ -253,6 +237,13 @@ func TestRetrySpansMatchRetriesMetric(t *testing.T) {
 			}
 			if uint64(spans) != retries {
 				t.Errorf("retry spans = %d, retries metric = %d", spans, retries)
+			}
+			drops := w.Net.LinkStats(conn.LocalAddr(), addr).Dropped + w.Net.LinkStats(addr, conn.LocalAddr()).Dropped
+			if drops != retries {
+				t.Errorf("injected drops = %d, retries metric = %d", drops, retries)
+			}
+			if drops == 0 {
+				t.Error("fabric injected no drops — test proved nothing")
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"liquidarch/internal/leon"
 	"liquidarch/internal/metrics"
 	"liquidarch/internal/netproto"
+	"liquidarch/internal/sim"
 )
 
 // TestWindowedLoadUnderLoss is the pipelining acceptance test: a
@@ -45,7 +46,7 @@ func TestWindowedLoadUnderLoss(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			_, addr := startServer(t)
 			reg := metrics.NewRegistry()
-			faults := chaos.Faults{Drop: 0.2, Reorder: 0.1}
+			faults := sim.LinkParams{Drop: 0.2, Reorder: 0.1}
 			proxy := chaosProxy(t, addr, chaos.Config{
 				Seed:     seed,
 				Up:       faults,
@@ -176,11 +177,7 @@ func TestWaitHoldExpiresAndRearms(t *testing.T) {
 // with the run's final report.
 func TestHeldWaitSurvivesRetransmit(t *testing.T) {
 	srv, addr := startServer(t)
-	rules, err := chaos.ParseScript("up:wait=dup")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := chaosProxy(t, addr, chaos.Config{Seed: 1, Script: rules})
+	proxy := chaosProxy(t, addr, scripted(t, "up:wait=dup"))
 
 	obj := assembleAt(t, countProg(1_000_000))
 	c := dial(t, proxy.Addr().String())

@@ -1,9 +1,10 @@
 // Package sim provides the deterministic simulation substrate for the
-// control plane: an injectable clock (real or virtual) and an in-memory
-// packet network with seedable per-link faults. Production code receives
-// time through sim.Clock so that tests can run whole chaos scenarios on
-// a virtual timeline, advancing it only when every goroutine is idle
-// (quiescence-stepped delivery).
+// control plane: an injectable clock (real or virtual), the platform's
+// one seeded fault core (Link, also run by the UDP chaos proxy) and an
+// in-memory packet network whose directed links are fault cores.
+// Production code receives time through sim.Clock so that tests can run
+// whole chaos scenarios on a virtual timeline, advancing it only when
+// every goroutine is idle (quiescence-stepped delivery).
 package sim
 
 import "time"
@@ -36,6 +37,13 @@ func (t *Timer) Stop() bool { return t.stop() }
 // Reset re-arms the timer to fire after d. It reports whether the timer
 // had been active.
 func (t *Timer) Reset(d time.Duration) bool { return t.reset(d) }
+
+// Yield parks the calling goroutine on an already-due real timer, which
+// requeues it on its own P. It is a scheduling yield, not a delay, so
+// it stays on the real clock even where a virtual one is injected: a
+// compute-bound loop calls it so other goroutines, and the network
+// poller, get to run between its slices.
+func Yield() { time.Sleep(time.Nanosecond) }
 
 // Real is the wall-clock implementation backed by package time.
 var Real Clock = realClock{}

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"liquidarch/internal/sim"
 )
 
 // seedFlag replays one model run:
@@ -85,7 +87,7 @@ func bugConfig(seed int64, disabled bool) Config {
 		Ops:           18,
 		LoadHeavy:     true,
 		DedupDisabled: disabled,
-		Faults: &Faults{
+		Faults: &sim.LinkParams{
 			Dup:      0.35,
 			DupDelay: 40 * time.Millisecond,
 			Latency:  time.Millisecond,

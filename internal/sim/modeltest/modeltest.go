@@ -48,25 +48,14 @@ var modelSynth = synth.Options{BitstreamBytes: 256, TimeScale: 1e-6}
 // started on purpose) terminates deterministically instead of spinning.
 const runBudget = 500_000
 
-// Faults is the fault profile applied to both directions of the
-// client↔server link.
-type Faults struct {
-	Drop     float64
-	Dup      float64
-	Reorder  float64
-	Latency  time.Duration
-	Jitter   time.Duration
-	DupDelay time.Duration
-}
-
 // Config parameterizes one model run.
 type Config struct {
 	Seed int64
 	// Ops is the operation count (0 = a seed-derived default).
 	Ops int
-	// Faults overrides the fault profile (nil = a seed-derived lossy
-	// one).
-	Faults *Faults
+	// Faults overrides the fault profile applied to both directions of
+	// the client↔server link (nil = a seed-derived lossy one).
+	Faults *sim.LinkParams
 	// DedupDisabled plants the deliberate protocol bug — the server
 	// skips the at-most-once dedup window — to prove the model harness
 	// catches it.
@@ -344,7 +333,7 @@ func Run(cfg Config) error {
 
 	f := cfg.Faults
 	if f == nil {
-		f = &Faults{
+		f = &sim.LinkParams{
 			Drop:    0.03 + 0.07*rng.Float64(),
 			Dup:     0.03 + 0.07*rng.Float64(),
 			Reorder: 0.02 + 0.05*rng.Float64(),
@@ -352,12 +341,8 @@ func Run(cfg Config) error {
 			Jitter:  500 * time.Microsecond,
 		}
 	}
-	lp := sim.LinkParams{
-		Drop: f.Drop, Dup: f.Dup, Reorder: f.Reorder,
-		Latency: f.Latency, Jitter: f.Jitter, DupDelay: f.DupDelay,
-	}
-	h.world.Net.SetLink(conn.LocalAddr(), pc.LocalAddr(), lp)
-	h.world.Net.SetLink(pc.LocalAddr(), conn.LocalAddr(), lp)
+	h.world.Net.SetLink(conn.LocalAddr(), pc.LocalAddr(), *f)
+	h.world.Net.SetLink(pc.LocalAddr(), conn.LocalAddr(), *f)
 
 	h.cli = client.New(conn, h.world.Clock)
 	h.cli.SetSeed(cfg.Seed ^ 0x6a09e667)

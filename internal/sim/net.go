@@ -2,40 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"net"
 	"net/netip"
 	"os"
 	"sync"
 	"time"
 )
-
-// LinkParams are the seedable fault characteristics of one directed
-// link. Probabilities are in [0,1); Latency/Jitter are virtual-time
-// delays applied to every delivered datagram.
-type LinkParams struct {
-	Drop    float64
-	Dup     float64
-	Reorder float64
-	Latency time.Duration
-	Jitter  time.Duration
-	// DupDelay is extra latency added to the duplicated copy of a
-	// datagram, making the duplicate arrive *late* — after the original
-	// exchange has long completed. Late duplicates are exactly what the
-	// server's dedup window exists for: a stale replayed request must be
-	// re-acked from the window, never re-executed.
-	DupDelay time.Duration
-}
-
-// LinkStats counts what a directed link actually did to traffic.
-type LinkStats struct {
-	Sent      uint64
-	Delivered uint64
-	Dropped   uint64
-	Duped     uint64
-	Reordered uint64
-}
 
 // Network is an in-memory datagram fabric. Endpoints are addressed by
 // real *net.UDPAddr values (10.77.0.0/16) so code that inspects peer
@@ -48,19 +20,13 @@ type Network struct {
 
 	mu       sync.Mutex
 	eps      map[string]*PacketConn
-	links    map[string]*link
+	links    map[string]*Link
 	defaults LinkParams
 	nextHost uint32
 }
 
-type link struct {
-	params LinkParams
-	rng    *rand.Rand
-	held   []heldPkt // packets delayed by a reorder decision
-	stats  LinkStats
-}
-
-type heldPkt struct {
+// datagram is one payload in flight across a directed link.
+type datagram struct {
 	payload []byte
 	from    *net.UDPAddr
 	to      string
@@ -72,7 +38,7 @@ func NewNetwork(clk *VirtualClock, seed int64) *Network {
 		clk:   clk,
 		seed:  seed,
 		eps:   make(map[string]*PacketConn),
-		links: make(map[string]*link),
+		links: make(map[string]*Link),
 	}
 }
 
@@ -88,8 +54,7 @@ func (n *Network) SetDefaultLink(p LinkParams) {
 func (n *Network) SetLink(src, dst net.Addr, p LinkParams) {
 	key := src.String() + ">" + dst.String()
 	n.mu.Lock()
-	l := n.linkLocked(key)
-	l.params = p
+	n.linkLocked(key).setParams(p)
 	n.mu.Unlock()
 }
 
@@ -99,20 +64,15 @@ func (n *Network) LinkStats(src, dst net.Addr) LinkStats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if l, ok := n.links[key]; ok {
-		return l.stats
+		return l.Stats()
 	}
 	return LinkStats{}
 }
 
-func (n *Network) linkLocked(key string) *link {
+func (n *Network) linkLocked(key string) *Link {
 	l, ok := n.links[key]
 	if !ok {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		l = &link{
-			params: n.defaults,
-			rng:    rand.New(rand.NewSource(n.seed ^ int64(h.Sum64()))),
-		}
+		l = NewLink(key, n.seed, n.defaults)
 		n.links[key] = l
 	}
 	return l
@@ -166,62 +126,22 @@ func (n *Network) Dial(remote net.Addr) (*Conn, error) {
 // fault schedule. Delivery happens through the virtual clock so
 // latency composes with everything else on the timeline.
 func (n *Network) send(src *net.UDPAddr, dst string, payload []byte) {
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-
 	n.mu.Lock()
-	l := n.linkLocked(src.String() + ">" + dst)
-	l.stats.Sent++
-	if p := l.params.Drop; p > 0 && l.rng.Float64() < p {
-		l.stats.Dropped++
-		n.mu.Unlock()
-		n.clk.touch()
-		return
-	}
-	duped := false
-	if p := l.params.Dup; p > 0 && l.rng.Float64() < p {
-		duped = true
-		l.stats.Duped++
-	}
-	var out []heldPkt
-	if p := l.params.Reorder; p > 0 && l.rng.Float64() < p {
-		// Hold this datagram; it rides behind the next one on the link.
-		l.held = append(l.held, heldPkt{payload: buf, from: src, to: dst})
-		l.stats.Reordered++
-		n.mu.Unlock()
-		n.clk.touch()
-		return
-	}
-	out = append(out, heldPkt{payload: buf, from: src, to: dst})
-	out = append(out, l.held...)
-	l.held = nil
-	delay := l.params.Latency
-	if l.params.Jitter > 0 {
-		delay += time.Duration(l.rng.Int63n(int64(l.params.Jitter)))
-	}
-	dupDelay := delay + l.params.DupDelay
+	out := n.linkLocked(src.String() + ">" + dst).Send(payload)
 	n.mu.Unlock()
 
-	for _, pkt := range out {
-		pkt := pkt
-		if delay <= 0 {
+	for _, d := range out {
+		pkt := datagram{payload: d.Payload, from: src, to: dst}
+		if d.After <= 0 {
 			n.deliver(pkt)
 			continue
 		}
-		n.clk.AfterFunc(delay, func() { n.deliver(pkt) })
-	}
-	if duped {
-		dup := heldPkt{payload: buf, from: src, to: dst}
-		if dupDelay <= 0 {
-			n.deliver(dup)
-		} else {
-			n.clk.AfterFunc(dupDelay, func() { n.deliver(dup) })
-		}
+		n.clk.AfterFunc(d.After, func() { n.deliver(pkt) })
 	}
 	n.clk.touch()
 }
 
-func (n *Network) deliver(pkt heldPkt) {
+func (n *Network) deliver(pkt datagram) {
 	n.mu.Lock()
 	ep := n.eps[pkt.to]
 	if l, ok := n.links[pkt.from.String()+">"+pkt.to]; ok {

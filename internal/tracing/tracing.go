@@ -477,7 +477,7 @@ func (s SpanHandle) endAt(now time.Time, extra []Attr) {
 }
 
 // Event records an instantaneous (zero-duration) span — the shape the
-// chaos layer uses for fault decisions.
+// fault core (sim.Link) uses for fault decisions.
 func (x Ctx) Event(name string, attrs ...Attr) {
 	if x.c == nil {
 		return
